@@ -2,117 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace switchboard::control {
-namespace {
-
-// --- journal-record grammar helpers --------------------------------------
-// Records reuse the bus messages' "k=v;" style (one record per line, no
-// embedded newlines); the parse side mirrors messages.cpp.
-
-std::unordered_map<std::string, std::string> journal_fields(
-    const std::string& record) {
-  std::unordered_map<std::string, std::string> fields;
-  std::istringstream in{record};
-  std::string pair;
-  while (std::getline(in, pair, ';')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    fields[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-  return fields;
-}
-
-std::uint64_t field_u64(
-    const std::unordered_map<std::string, std::string>& fields,
-    const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end()) << "journal record missing field " << key;
-  return std::stoull(it->second);
-}
-
-double field_double(
-    const std::unordered_map<std::string, std::string>& fields,
-    const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end()) << "journal record missing field " << key;
-  return std::stod(it->second);
-}
-
-std::vector<std::uint32_t> field_u32_list(
-    const std::unordered_map<std::string, std::string>& fields,
-    const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end()) << "journal record missing field " << key;
-  std::vector<std::uint32_t> values;
-  std::istringstream in{it->second};
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    values.push_back(static_cast<std::uint32_t>(std::stoul(item)));
-  }
-  return values;
-}
-
-/// Round-trip-exact double formatting for journal records.
-std::string exact(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
-
-std::string pair_record(const char* type, ChainId chain, RouteId route) {
-  std::ostringstream out;
-  out << "t=" << type << ";chain=" << chain.value()
-      << ";route=" << route.value();
-  return out.str();
-}
-
-std::string encode_chain(const ChainRecord& record) {
-  SWB_CHECK(record.spec.name.find(';') == std::string::npos &&
-            record.spec.name.find('\n') == std::string::npos)
-      << "chain name unserializable for the journal";
-  std::ostringstream out;
-  out << "t=chain;id=" << record.id.value() << ";name=" << record.spec.name
-      << ";ins=" << record.spec.ingress_service.value()
-      << ";inn=" << record.spec.ingress_node.value()
-      << ";egs=" << record.spec.egress_service.value()
-      << ";egn=" << record.spec.egress_node.value() << ";vnfs=";
-  for (std::size_t i = 0; i < record.spec.vnfs.size(); ++i) {
-    if (i > 0) out << ',';
-    out << record.spec.vnfs[i].value();
-  }
-  out << ";ft=" << exact(record.spec.forward_traffic)
-      << ";rt=" << exact(record.spec.reverse_traffic)
-      << ";cl=" << record.labels.chain << ";el=" << record.labels.egress_site
-      << ";insite=" << record.ingress_site.value()
-      << ";egsite=" << record.egress_site.value();
-  return out.str();
-}
-
-std::string encode_begin(ChainId chain, RouteId route,
-                         const std::vector<SiteId>& sites) {
-  std::ostringstream out;
-  out << "t=begin;chain=" << chain.value() << ";route=" << route.value()
-      << ";sites=";
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (i > 0) out << ',';
-    out << sites[i].value();
-  }
-  return out.str();
-}
-
-}  // namespace
-
 GlobalSwitchboard::GlobalSwitchboard(ControlContext& context, SiteId home_site)
-    : context_{context}, home_site_{home_site}, loads_{context.model} {}
+    : context_{context}, home_site_{home_site}, loads_{context.model} {
+  state_.epoch = 1;
+}
 
 bus::Topic GlobalSwitchboard::routes_topic() const {
   return bus::Topic{"/chains/all", home_site_};
@@ -149,10 +48,7 @@ const ChainRecord& GlobalSwitchboard::record(ChainId chain) const {
 }
 
 const ChainRecord* GlobalSwitchboard::find_record(ChainId chain) const {
-  for (const ChainRecord& r : chains_) {
-    if (r.id == chain) return &r;
-  }
-  return nullptr;
+  return state_.find(chain);
 }
 
 RouteAnnouncement GlobalSwitchboard::to_announcement(
@@ -165,7 +61,7 @@ RouteAnnouncement GlobalSwitchboard::to_announcement(
   announcement.ingress_site = record.ingress_site;
   announcement.egress_site = record.egress_site;
   announcement.weight = route.weight;
-  announcement.epoch = epoch_;
+  announcement.epoch = state_.epoch;
   for (std::size_t z = 1; z <= record.spec.vnfs.size(); ++z) {
     announcement.hops.push_back(RouteHop{z, record.spec.vnfs[z - 1],
                                          route.vnf_sites[z - 1]});
@@ -197,21 +93,27 @@ GlobalSwitchboard::ModelShape GlobalSwitchboard::model_shape() const {
 
 void GlobalSwitchboard::rebuild_loads_into(te::Loads& loads) const {
   loads.reset();
-  for (const ChainRecord& record : chains_) {
+  for (const ChainRecord& record : state_.chains) {
     if (!record.active) continue;
-    const model::Chain& chain = context_.model.chain(record.id);
     for (const RouteRecord& route : record.routes) {
-      const NodeId ingress_node = context_.model.site(record.ingress_site).node;
-      const NodeId egress_node = context_.model.site(record.egress_site).node;
-      NodeId prev = ingress_node;
-      for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
-        const NodeId next = z <= route.vnf_sites.size()
-            ? context_.model.site(route.vnf_sites[z - 1]).node
-            : egress_node;
-        loads.add_stage_flow(chain, z, prev, next, route.weight);
-        prev = next;
-      }
+      add_route_flow(loads, record, route, route.weight);
     }
+  }
+}
+
+void GlobalSwitchboard::add_route_flow(te::Loads& loads,
+                                       const ChainRecord& record,
+                                       const RouteRecord& route,
+                                       double weight) const {
+  const model::Chain& chain = context_.model.chain(record.id);
+  const NodeId egress_node = context_.model.site(record.egress_site).node;
+  NodeId prev = context_.model.site(record.ingress_site).node;
+  for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
+    const NodeId next = z <= route.vnf_sites.size()
+        ? context_.model.site(route.vnf_sites[z - 1]).node
+        : egress_node;
+    loads.add_stage_flow(chain, z, prev, next, weight);
+    prev = next;
   }
 }
 
@@ -228,18 +130,7 @@ void GlobalSwitchboard::ensure_loads_current() {
 void GlobalSwitchboard::apply_route_loads(const ChainRecord& record,
                                           const RouteRecord& route,
                                           double weight_delta) {
-  if (weight_delta == 0.0) return;
-  const model::Chain& chain = context_.model.chain(record.id);
-  const NodeId ingress_node = context_.model.site(record.ingress_site).node;
-  const NodeId egress_node = context_.model.site(record.egress_site).node;
-  NodeId prev = ingress_node;
-  for (std::size_t z = 1; z <= chain.stage_count(); ++z) {
-    const NodeId next = z <= route.vnf_sites.size()
-        ? context_.model.site(route.vnf_sites[z - 1]).node
-        : egress_node;
-    loads_.add_stage_flow(chain, z, prev, next, weight_delta);
-    prev = next;
-  }
+  if (weight_delta != 0.0) add_route_flow(loads_, record, route, weight_delta);
 }
 
 void GlobalSwitchboard::create_chain(const ChainSpec& spec,
@@ -252,10 +143,9 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
   // (parallel RPC round trip + controller processing).
   const sim::Duration resolve_delay = 2 * context_.timings.controller_rpc +
                                       context_.timings.controller_processing;
-  const std::uint64_t ep = epoch_;
-  context_.sim.schedule(resolve_delay, [this, ep, spec, report,
-                                        done = std::move(done)]() mutable {
-    if (!up_ || ep != epoch_) return;   // the requesting incarnation died
+  context_.sim.schedule(
+      resolve_delay,
+      fenced([this, spec, report, done = std::move(done)]() mutable {
     if (spec.ingress_service.value() >= edge_controllers_.size() ||
         edge_controllers_[spec.ingress_service.value()] == nullptr ||
         spec.egress_service.value() >= edge_controllers_.size() ||
@@ -294,36 +184,19 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
                                       egress.value().value()};
     record.ingress_site = *ingress;
     record.egress_site = *egress;
-    chains_.push_back(record);
-    journal_append(encode_chain(record));
+    state_.chains.push_back(record);
+    journal_append(journal::Chain{record});
     report.chain = chain_id;
     report.labels = record.labels;
 
     // Fig. 4 step 2: compute the wide-area route.
     context_.sim.schedule(
         context_.timings.route_compute,
-        [this, ep, chain_id, report, done = std::move(done)]() mutable {
-          if (!up_ || ep != epoch_) return;
-          ChainRecord* rec = nullptr;
-          for (ChainRecord& r : chains_) {
-            if (r.id == chain_id) rec = &r;
-          }
+        fenced([this, chain_id, report, done = std::move(done)]() mutable {
+          ChainRecord* rec = state_.find(chain_id);
           SWB_CHECK(rec != nullptr);
-          te::DpOptions options = dp_options_;
-          ensure_loads_current();   // resizes after late VNF registration
-          std::optional<std::vector<SiteId>> vnf_sites;
-          if (te_mode_ == TeMode::kSbLp) vnf_sites = lp_route_sites(chain_id);
-          if (!vnf_sites) {
-            const te::SingleRoute route = te::find_single_route(
-                context_.model, context_.model.chain(chain_id), loads_,
-                options, 1.0, te::TeContext{nullptr, &scratch_});
-            if (route.found && route.admissible_fraction > 0) {
-              vnf_sites.emplace();
-              for (std::size_t z = 1; z <= rec->spec.vnfs.size(); ++z) {
-                vnf_sites->push_back(route.sites[z]);
-              }
-            }
-          }
+          auto vnf_sites = route_sites(*rec, dp_options_, /*try_lp=*/true,
+                                       /*admissible_only=*/true);
           report.events.push_back({"route_computed", context_.sim.now()});
           if (!vnf_sites) {
             done(Result<CreationReport>{ErrorCode::kInfeasible,
@@ -331,14 +204,14 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
             return;
           }
           RouteRecord route_record;
-          route_record.id = RouteId{next_route_id_++};
+          route_record.id = RouteId{state_.next_route_id++};
           route_record.weight = 1.0;
           route_record.vnf_sites = std::move(*vnf_sites);
           report.route = route_record.id;
           commit_route(*rec, std::move(route_record), std::move(report),
                        std::move(done), {}, 0);
-        });
-  });
+        }));
+  }));
 }
 
 namespace {
@@ -361,25 +234,25 @@ void GlobalSwitchboard::commit_route(
 
   // Journal the 2PC intent before any participant hears about it: after a
   // crash anywhere in the round, recovery knows this (chain, route, sites)
-  // begun and can re-drive or abort it.
-  journal_append(encode_begin(chain_id, route.id, route.vnf_sites));
-  inflight_[{chain_id.value(), route.id.value()}] =
-      Inflight{route.vnf_sites, /*prepared=*/false};
+  // begun and can re-drive or abort it.  Here and at every append below,
+  // state_ takes the change first: a snapshot cut inside the append must
+  // already hold the record it is positioned after.
+  state_.inflight[{chain_id.value(), route.id.value()}] =
+      ControllerState::Inflight{route.vnf_sites, /*prepared=*/false};
+  journal_append(journal::Begin{chain_id, route.id, route.vnf_sites});
 
   // Two-phase commit, prepare round: parallel RPCs to each VNF controller
   // (round trip + processing).
   const sim::Duration prepare_delay = 2 * context_.timings.controller_rpc +
                                       context_.timings.controller_processing;
-  const std::uint64_t ep = epoch_;
   context_.sim.schedule(
       prepare_delay,
-      [this, ep, chain_id, route, report, done = std::move(done), excluded,
-       attempt]() mutable {
-        if (!up_ || ep != epoch_) return;
+      fenced([this, chain_id, route, report, done = std::move(done),
+              excluded, attempt]() mutable {
         start_prepare_round(chain_id, std::move(route), std::move(report),
                             std::move(done), std::move(excluded), attempt,
                             /*rpc_retry=*/0);
-      });
+      }));
 }
 
 void GlobalSwitchboard::start_prepare_round(
@@ -387,10 +260,7 @@ void GlobalSwitchboard::start_prepare_round(
     CreationCallback done,
     std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
     std::size_t attempt, std::size_t rpc_retry) {
-  ChainRecord* rec = nullptr;
-  for (ChainRecord& r : chains_) {
-    if (r.id == chain_id) rec = &r;
-  }
+  ChainRecord* rec = state_.find(chain_id);
   SWB_CHECK(rec != nullptr);
   const model::Chain& chain = context_.model.chain(chain_id);
 
@@ -414,7 +284,7 @@ void GlobalSwitchboard::start_prepare_round(
         context_.model.vnf(vnf).load_per_unit *
         (chain.stage_traffic(z) + chain.stage_traffic(z + 1)) *
         route.weight;
-    if (controller->prepare(chain_id, route.id, site, load, z, epoch_)) {
+    if (controller->prepare(chain_id, route.id, site, load, z, state_.epoch)) {
       prepared_vnfs.insert(vnf.value());
     } else {
       all_prepared = false;
@@ -427,10 +297,10 @@ void GlobalSwitchboard::start_prepare_round(
     // Abort the reservations made so far and recompute with the
     // rejecting placement excluded (Section 3, chain creation).
     for (const std::uint32_t vnf : prepared_vnfs) {
-      vnf_controllers_[vnf]->abort(chain_id, route.id, epoch_);
+      vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
     }
-    journal_append(pair_record("abort", chain_id, route.id));
-    inflight_.erase({chain_id.value(), route.id.value()});
+    state_.inflight.erase({chain_id.value(), route.id.value()});
+    journal_append(journal::Abort{{chain_id, route.id}});
     excluded.insert(rejected);
     report.events.push_back({"route_rejected", context_.sim.now()});
     if (attempt + 1 >= 4) {
@@ -439,42 +309,33 @@ void GlobalSwitchboard::start_prepare_round(
           "2PC: no feasible route after repeated rejections"});
       return;
     }
-    const std::uint64_t ep = epoch_;
     context_.sim.schedule(
         context_.timings.route_compute,
-        [this, ep, chain_id, report, done = std::move(done), excluded,
-         attempt]() mutable {
-          if (!up_ || ep != epoch_) return;
-          ChainRecord* rec2 = nullptr;
-          for (ChainRecord& r : chains_) {
-            if (r.id == chain_id) rec2 = &r;
-          }
+        fenced([this, chain_id, report, done = std::move(done), excluded,
+                attempt]() mutable {
+          ChainRecord* rec2 = state_.find(chain_id);
           SWB_CHECK(rec2 != nullptr);
           te::DpOptions options = dp_options_;
           options.site_allowed = [excluded](VnfId vnf, SiteId site) {
             return excluded.count({vnf.value(), site.value()}) == 0;
           };
-          ensure_loads_current();
-          const te::SingleRoute retry = te::find_single_route(
-              context_.model, context_.model.chain(chain_id), loads_,
-              options, 1.0, te::TeContext{nullptr, &scratch_});
+          auto vnf_sites = route_sites(*rec2, options, /*try_lp=*/false,
+                                       /*admissible_only=*/true);
           report.events.push_back({"route_recomputed", context_.sim.now()});
-          if (!retry.found || retry.admissible_fraction <= 0) {
+          if (!vnf_sites) {
             done(Result<CreationReport>{ErrorCode::kInfeasible,
                                         "no feasible route after 2PC "
                                         "rejection"});
             return;
           }
           RouteRecord route_record;
-          route_record.id = RouteId{next_route_id_++};
+          route_record.id = RouteId{state_.next_route_id++};
           route_record.weight = 1.0;
-          for (std::size_t z = 1; z <= rec2->spec.vnfs.size(); ++z) {
-            route_record.vnf_sites.push_back(retry.sites[z]);
-          }
+          route_record.vnf_sites = std::move(*vnf_sites);
           report.route = route_record.id;
           commit_route(*rec2, std::move(route_record), std::move(report),
                        std::move(done), std::move(excluded), attempt + 1);
-        });
+        }));
     return;
   }
 
@@ -487,26 +348,24 @@ void GlobalSwitchboard::start_prepare_round(
                     << route.id << " gave up after " << rpc_retry
                     << " retries";
       for (const std::uint32_t vnf : prepared_vnfs) {
-        vnf_controllers_[vnf]->abort(chain_id, route.id, epoch_);
+        vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
       }
-      journal_append(pair_record("abort", chain_id, route.id));
-      inflight_.erase({chain_id.value(), route.id.value()});
+      state_.inflight.erase({chain_id.value(), route.id.value()});
+      journal_append(journal::Abort{{chain_id, route.id}});
       done(Result<CreationReport>{
           ErrorCode::kUnavailable,
           "2PC prepare: participant unreachable after retries"});
       return;
     }
-    const std::uint64_t retry_ep = epoch_;
     context_.sim.schedule(
         context_.timings.rpc_timeout + rpc_backoff(context_.timings,
                                                    rpc_retry),
-        [this, retry_ep, chain_id, route, report, done = std::move(done),
-         excluded, attempt, rpc_retry]() mutable {
-          if (!up_ || retry_ep != epoch_) return;
+        fenced([this, chain_id, route, report, done = std::move(done),
+                excluded, attempt, rpc_retry]() mutable {
           start_prepare_round(chain_id, std::move(route), std::move(report),
                               std::move(done), std::move(excluded), attempt,
                               rpc_retry + 1);
-        });
+        }));
     return;
   }
   report.events.push_back({"prepared", context_.sim.now()});
@@ -514,37 +373,32 @@ void GlobalSwitchboard::start_prepare_round(
   // Every participant voted yes: journal it so a crash from here on
   // re-drives the commit round instead of aborting (participants may have
   // already committed by then; re-commits are idempotent).
-  journal_append(pair_record("prep", chain_id, route.id));
-  inflight_[{chain_id.value(), route.id.value()}].prepared = true;
+  state_.inflight[{chain_id.value(), route.id.value()}].prepared = true;
+  journal_append(journal::Prep{{chain_id, route.id}});
 
   // Commit round — behind the quorum barrier: with replication on, the
   // prep record must be durable on a quorum before any participant hears
   // commit, or a failed-over leader could abort a round whose
   // participants already committed.
-  const std::uint64_t commit_ep = epoch_;
-  after_quorum([this, commit_ep, chain_id, route = std::move(route),
-                report = std::move(report), done = std::move(done)]() mutable {
-    if (!up_ || commit_ep != epoch_) return;
+  after_quorum(fenced([this, chain_id, route = std::move(route),
+                       report = std::move(report),
+                       done = std::move(done)]() mutable {
     context_.sim.schedule(
         context_.timings.controller_rpc +
             context_.timings.controller_processing,
-        [this, commit_ep, chain_id, route = std::move(route),
-         report = std::move(report), done = std::move(done)]() mutable {
-          if (!up_ || commit_ep != epoch_) return;
+        fenced([this, chain_id, route = std::move(route),
+                report = std::move(report), done = std::move(done)]() mutable {
           start_commit_round(chain_id, std::move(route), std::move(report),
                              std::move(done), /*rpc_retry=*/0);
-        });
-  });
+        }));
+  }));
 }
 
 void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
                                            CreationReport report,
                                            CreationCallback done,
                                            std::size_t rpc_retry) {
-  ChainRecord* rec2 = nullptr;
-  for (ChainRecord& r : chains_) {
-    if (r.id == chain_id) rec2 = &r;
-  }
+  ChainRecord* rec2 = state_.find(chain_id);
   SWB_CHECK(rec2 != nullptr);
 
   // Commits to reachable participants; re-delivery on retry is idempotent
@@ -557,7 +411,8 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       timed_out = true;
       continue;
     }
-    controller->commit(chain_id, route.id, rec2->labels.egress_site, epoch_);
+    controller->commit(chain_id, route.id, rec2->labels.egress_site,
+                       state_.epoch);
   }
 
   if (timed_out) {
@@ -573,49 +428,41 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       // participants: an abort the standbys never saw would make a
       // failed-over leader re-drive this prepared round against
       // participants that already rolled back.
-      journal_append(pair_record("abort", chain_id, route.id));
-      inflight_.erase({chain_id.value(), route.id.value()});
-      const std::uint64_t abort_ep = epoch_;
-      after_quorum([this, abort_ep, chain_id, route_id = route.id,
-                    done = std::move(done)]() mutable {
-        if (!up_ || abort_ep != epoch_) return;
+      state_.inflight.erase({chain_id.value(), route.id.value()});
+      journal_append(journal::Abort{{chain_id, route.id}});
+      after_quorum(fenced([this, chain_id, route_id = route.id,
+                           done = std::move(done)]() mutable {
         const ChainRecord* rec3 = find_record(chain_id);
         SWB_CHECK(rec3 != nullptr);
         for (std::size_t z = 1; z <= rec3->spec.vnfs.size(); ++z) {
           VnfController* controller =
               vnf_controllers_[rec3->spec.vnfs[z - 1].value()];
           if (!controller->up()) continue;
-          controller->abort(chain_id, route_id, epoch_);
-          controller->release(chain_id, route_id, epoch_);
+          controller->abort(chain_id, route_id, state_.epoch);
+          controller->release(chain_id, route_id, state_.epoch);
         }
         done(Result<CreationReport>{
             ErrorCode::kUnavailable,
             "2PC commit: participant unreachable after retries"});
-      });
+      }));
       return;
     }
-    const std::uint64_t ep = epoch_;
     context_.sim.schedule(
         context_.timings.rpc_timeout + rpc_backoff(context_.timings,
                                                    rpc_retry),
-        [this, ep, chain_id, route, report, done = std::move(done),
-         rpc_retry]() mutable {
-          if (!up_ || ep != epoch_) return;
+        fenced([this, chain_id, route, report, done = std::move(done),
+                rpc_retry]() mutable {
           start_commit_round(chain_id, std::move(route), std::move(report),
                              std::move(done), rpc_retry + 1);
-        });
+        }));
     return;
   }
   report.events.push_back({"committed", context_.sim.now()});
 
-  // The round is durable-committed from this point: replay re-applies the
-  // route and recovery re-drives participant commits if needed.
-  journal_append(pair_record("commit", chain_id, route.id));
-  inflight_.erase({chain_id.value(), route.id.value()});
-
-  // Apply to memory synchronously with the append — a snapshot cut while
-  // the quorum barrier below is pending must already reflect this commit,
-  // or its log truncation would lose the route.
+  // Apply to memory synchronously with the append — a snapshot cut inside
+  // it, or while the quorum barrier below is pending, must already reflect
+  // this commit, or its log truncation would lose the route.
+  state_.inflight.erase({chain_id.value(), route.id.value()});
   ensure_loads_current();
   rec2->routes.push_back(route);
   // Route weights rebalance equally (Fig. 10: the new route takes
@@ -632,54 +479,50 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
     apply_route_loads(*rec2, r, weight - previous);
     r.weight = weight;
   }
+  // The round is durable-committed from this point: replay re-applies the
+  // route and recovery re-drives participant commits if needed.
+  journal_append(journal::Commit{{chain_id, route.id}});
 
   // Acknowledgment — behind the quorum barrier: routes are published,
   // edge instances announced, readiness tracked, and `done` armed only
-  // once a quorum of replicas has the commit record durable.  rec2 is
-  // re-found inside the resume: chains_ may reallocate while the barrier
-  // is pending.
-  const std::uint64_t activate_ep = epoch_;
-  after_quorum([this, activate_ep, chain_id, route = std::move(route),
-                report = std::move(report), done = std::move(done)]() mutable {
-    if (!up_ || activate_ep != epoch_) return;
-    ChainRecord* rec2 = nullptr;
-    for (ChainRecord& r : chains_) {
-      if (r.id == chain_id) rec2 = &r;
-    }
-    SWB_CHECK(rec2 != nullptr);
+  // once a quorum of replicas has the commit record durable.  The record
+  // is re-found inside the resume: state_.chains may reallocate while the
+  // barrier is pending.
+  after_quorum(fenced([this, chain_id, route = std::move(route),
+                       report = std::move(report),
+                       done = std::move(done)]() mutable {
+    ChainRecord* rec = state_.find(chain_id);
+    SWB_CHECK(rec != nullptr);
 
-    publish_routes(*rec2);
+    publish_routes(*rec);
     report.events.push_back({"routes_published", context_.sim.now()});
 
     // Edge controllers allocate + announce instances (Fig. 4 step 4).
-    edge_controllers_[rec2->spec.ingress_service.value()]
-        ->announce_edge_instance(chain_id, rec2->labels.egress_site,
-                                 rec2->ingress_site);
-    edge_controllers_[rec2->spec.egress_service.value()]
-        ->announce_edge_instance(chain_id, rec2->labels.egress_site,
-                                 rec2->egress_site);
+    edge_controllers_[rec->spec.ingress_service.value()]
+        ->announce_edge_instance(chain_id, rec->labels.egress_site,
+                                 rec->ingress_site);
+    edge_controllers_[rec->spec.egress_service.value()]
+        ->announce_edge_instance(chain_id, rec->labels.egress_site,
+                                 rec->egress_site);
 
     // Track readiness of every involved site.
     PendingActivation pending;
     pending.chain = chain_id;
     pending.route = route.id;
-    pending.waiting_sites = involved_sites(*rec2, route);
+    pending.waiting_sites = involved_sites(*rec, route);
     pending.report = std::move(report);
     pending.done = std::move(done);
     pending_.push_back(std::move(pending));
 #ifndef NDEBUG
     check_invariants();
 #endif
-  });
+  }));
 }
 
 void GlobalSwitchboard::add_route(ChainId chain,
                                   const std::vector<SiteId>& preferred_vnf_sites,
                                   CreationCallback done) {
-  ChainRecord* rec = nullptr;
-  for (ChainRecord& r : chains_) {
-    if (r.id == chain) rec = &r;
-  }
+  ChainRecord* rec = state_.find(chain);
   if (rec == nullptr || !rec->active) {
     context_.sim.schedule(0, [done = std::move(done)] {
       done(Result<CreationReport>{ErrorCode::kNotFound,
@@ -694,19 +537,14 @@ void GlobalSwitchboard::add_route(ChainId chain,
   report.labels = rec->labels;
   report.events.push_back({"route_requested", context_.sim.now()});
 
-  const std::uint64_t ep = epoch_;
   context_.sim.schedule(
       context_.timings.route_compute,
-      [this, ep, chain, preferred_vnf_sites, report,
-       done = std::move(done)]() mutable {
-        if (!up_ || ep != epoch_) return;
-        ChainRecord* rec2 = nullptr;
-        for (ChainRecord& r : chains_) {
-          if (r.id == chain) rec2 = &r;
-        }
+      fenced([this, chain, preferred_vnf_sites, report,
+              done = std::move(done)]() mutable {
+        ChainRecord* rec2 = state_.find(chain);
         SWB_CHECK(rec2 != nullptr);
         RouteRecord route_record;
-        route_record.id = RouteId{next_route_id_++};
+        route_record.id = RouteId{state_.next_route_id++};
         // The new route takes an equal share of traffic.
         route_record.weight =
             1.0 / static_cast<double>(rec2->routes.size() + 1);
@@ -719,20 +557,8 @@ void GlobalSwitchboard::add_route(ChainId chain,
           }
           route_record.vnf_sites = preferred_vnf_sites;
         } else {
-          ensure_loads_current();
-          std::optional<std::vector<SiteId>> vnf_sites;
-          if (te_mode_ == TeMode::kSbLp) vnf_sites = lp_route_sites(chain);
-          if (!vnf_sites) {
-            const te::SingleRoute route = te::find_single_route(
-                context_.model, context_.model.chain(chain), loads_,
-                dp_options_, 1.0, te::TeContext{nullptr, &scratch_});
-            if (route.found) {
-              vnf_sites.emplace();
-              for (std::size_t z = 1; z <= rec2->spec.vnfs.size(); ++z) {
-                vnf_sites->push_back(route.sites[z]);
-              }
-            }
-          }
+          auto vnf_sites = route_sites(*rec2, dp_options_, /*try_lp=*/true,
+                                       /*admissible_only=*/false);
           if (!vnf_sites) {
             done(Result<CreationReport>{ErrorCode::kInfeasible,
                                         "no feasible additional route"});
@@ -744,46 +570,18 @@ void GlobalSwitchboard::add_route(ChainId chain,
         report.route = route_record.id;
         commit_route(*rec2, std::move(route_record), std::move(report),
                      std::move(done), {}, 0);
-      });
+      }));
 }
 
 void GlobalSwitchboard::check_invariants() const {
-  // Chain ids are allocator-unique; names are a human label with no
-  // uniqueness contract (specs may leave them empty).
-  std::set<std::uint32_t> chain_ids;
-  for (const ChainRecord& record : chains_) {
-    SWB_CHECK(chain_ids.insert(record.id.value()).second)
-        << "duplicate chain id " << record.id.value();
-
-    std::set<std::uint32_t> route_ids;
-    double weight_sum = 0.0;
-    for (const RouteRecord& route : record.routes) {
-      SWB_CHECK_LT(route.id.value(), next_route_id_)
-          << "route id outside the allocator for chain " << record.id.value();
-      SWB_CHECK(route_ids.insert(route.id.value()).second)
-          << "duplicate route id " << route.id.value() << " in chain "
-          << record.id.value();
-      // One placement per VNF stage — the announcement builder indexes
-      // vnf_sites positionally against spec.vnfs.
-      SWB_CHECK_EQ(route.vnf_sites.size(), record.spec.vnfs.size())
-          << "chain " << record.id.value() << " route " << route.id.value();
-      SWB_CHECK(route.weight > 0.0 && route.weight <= 1.0 + 1e-9)
-          << "chain " << record.id.value() << " route " << route.id.value()
-          << " weight " << route.weight;
-      weight_sum += route.weight;
-    }
-    if (record.active) {
-      SWB_CHECK(!record.routes.empty())
-          << "active chain " << record.id.value() << " has no routes";
-      SWB_CHECK_LE(std::abs(weight_sum - 1.0), 1e-6)
-          << "chain " << record.id.value() << " route weights sum to "
-          << weight_sum;
-      for (const VnfId vnf : record.spec.vnfs) {
-        SWB_CHECK(vnf.value() < vnf_controllers_.size() &&
-                  vnf_controllers_[vnf.value()] != nullptr)
-            << "active chain " << record.id.value()
-            << " uses unregistered vnf " << vnf.value();
-      }
+  state_.check_invariants();   // names are labels: no uniqueness contract
+  for (const ChainRecord& record : state_.chains) {
+    if (!record.active) continue;
+    for (const VnfId vnf : record.spec.vnfs) {
+      SWB_CHECK(vnf.value() < vnf_controllers_.size() &&
+                vnf_controllers_[vnf.value()] != nullptr)
+          << "active chain " << record.id.value()
+          << " uses unregistered vnf " << vnf.value();
     }
   }
 
@@ -844,14 +642,11 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
   // out one report per pool, and repeats must not save the zeroed value)
   // so on_instance_up can undo the zeroing, across crashes.
   const auto pool = std::make_pair(vnf.value(), site.value());
-  if (dead_pools_.find(pool) == dead_pools_.end()) {
+  if (state_.dead_pools.find(pool) == state_.dead_pools.end()) {
     const double capacity = context_.model.vnf(vnf).capacity_at(site);
     if (capacity > 0.0) {
-      dead_pools_[pool] = capacity;
-      std::ostringstream record;
-      record << "t=pooldown;vnf=" << vnf.value() << ";site=" << site.value()
-             << ";cap=" << exact(capacity);
-      journal_append(record.str());
+      state_.dead_pools[pool] = capacity;
+      journal_append(journal::PoolDown{vnf, site, capacity});
     }
   }
   // The dead pool contributes no capacity until restored: route
@@ -883,45 +678,26 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
         });
   };
   if (quorum_gate_ == nullptr) return actions();
-  const std::uint64_t ep = epoch_;
-  quorum_gate_([this, ep, actions] {
-    if (!up_ || ep != epoch_) return;
-    actions();
-  });
+  quorum_gate_(fenced([actions] { actions(); }));
   return RecoveryReport{};
 }
 
-RecoveryReport GlobalSwitchboard::on_link_down(LinkId link) {
-  if (!up_) return RecoveryReport{};
-  SB_LOG(kInfo) << "recovery: link " << link << " down";
-  // Topology capacities must stay positive (check_invariants); a dead link
-  // is modeled as background traffic consuming all of it.
-  context_.model.set_background_traffic(
-      link, context_.model.topology().link(link).capacity);
-  return retire_routes(
-      [this, link](const ChainRecord& record, const RouteRecord& route) {
-        return route_uses_link(record, route, link);
-      });
-}
-
-bool GlobalSwitchboard::route_uses_link(const ChainRecord& record,
-                                        const RouteRecord& route,
-                                        LinkId link) const {
-  // Walk the route's site-to-site segments and test each segment's ECMP
-  // footprint for the link.
-  const NodeId egress_node = context_.model.site(record.egress_site).node;
-  NodeId prev = context_.model.site(record.ingress_site).node;
-  for (std::size_t z = 1; z <= route.vnf_sites.size() + 1; ++z) {
-    const NodeId next = z <= route.vnf_sites.size()
-        ? context_.model.site(route.vnf_sites[z - 1]).node
-        : egress_node;
-    for (const net::LinkShare& share :
-         context_.model.routing().link_shares(prev, next)) {
-      if (share.link == link && share.fraction > 0.0) return true;
-    }
-    prev = next;
+std::optional<std::vector<SiteId>> GlobalSwitchboard::route_sites(
+    const ChainRecord& record, const te::DpOptions& options, bool try_lp,
+    bool admissible_only) {
+  ensure_loads_current();   // resizes after late VNF registration
+  if (try_lp && te_mode_ == TeMode::kSbLp) {
+    if (auto sites = lp_route_sites(record.id)) return sites;
   }
-  return false;
+  const te::SingleRoute route = te::find_single_route(
+      context_.model, context_.model.chain(record.id), loads_, options, 1.0,
+      te::TeContext{nullptr, &scratch_});
+  if (!route.found || (admissible_only && route.admissible_fraction <= 0)) {
+    return std::nullopt;
+  }
+  const auto first = route.sites.begin() + 1;
+  return std::vector<SiteId>(
+      first, first + static_cast<std::ptrdiff_t>(record.spec.vnfs.size()));
 }
 
 std::optional<std::vector<SiteId>> GlobalSwitchboard::lp_route_sites(
@@ -941,12 +717,11 @@ RecoveryReport GlobalSwitchboard::retire_routes(
         doomed) {
   RecoveryReport report;
   ensure_loads_current();
-  for (ChainRecord& record : chains_) {
+  for (ChainRecord& record : state_.chains) {
     if (!record.active) continue;
     std::vector<RouteRecord> removed;
-    std::vector<RouteRecord> kept;
     for (const RouteRecord& route : record.routes) {
-      (doomed(record, route) ? removed : kept).push_back(route);
+      if (doomed(record, route)) removed.push_back(route);
     }
     if (removed.empty()) continue;
     ++report.affected_chains;
@@ -970,10 +745,13 @@ RecoveryReport GlobalSwitchboard::retire_routes(
         if (vnf.value() >= vnf_controllers_.size()) continue;
         VnfController* controller = vnf_controllers_[vnf.value()];
         if (controller != nullptr && controller->up()) {
-          controller->release(record.id, route.id, epoch_);
+          controller->release(record.id, route.id, state_.epoch);
         }
       }
-      journal_append(pair_record("retire", record.id, route.id));
+      std::erase_if(record.routes, [&](const RouteRecord& r) {
+        return r.id == route.id;
+      });
+      journal_append(journal::Retire{{record.id, route.id}});
       apply_route_loads(record, route, -route.weight);
 
       // A failure racing activation: complete the waiting creation with an
@@ -992,7 +770,6 @@ RecoveryReport GlobalSwitchboard::retire_routes(
         break;
       }
     }
-    record.routes = std::move(kept);
 
     if (!record.routes.empty()) {
       // Survivors split the chain's traffic evenly again; only the
@@ -1026,30 +803,13 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
   report.started = context_.sim.now();
   report.chain = chain;
   report.events.push_back({"replacement_requested", context_.sim.now()});
-  const std::uint64_t ep = epoch_;
   context_.sim.schedule(
-      context_.timings.route_compute, [this, ep, chain, report]() mutable {
-        if (!up_ || ep != epoch_) return;
-        ChainRecord* rec = nullptr;
-        for (ChainRecord& r : chains_) {
-          if (r.id == chain) rec = &r;
-        }
+      context_.timings.route_compute, fenced([this, chain, report]() mutable {
+        ChainRecord* rec = state_.find(chain);
         SWB_CHECK(rec != nullptr);
         report.labels = rec->labels;
-        ensure_loads_current();
-        std::optional<std::vector<SiteId>> vnf_sites;
-        if (te_mode_ == TeMode::kSbLp) vnf_sites = lp_route_sites(chain);
-        if (!vnf_sites) {
-          const te::SingleRoute route = te::find_single_route(
-              context_.model, context_.model.chain(chain), loads_,
-              dp_options_, 1.0, te::TeContext{nullptr, &scratch_});
-          if (route.found && route.admissible_fraction > 0) {
-            vnf_sites.emplace();
-            for (std::size_t z = 1; z <= rec->spec.vnfs.size(); ++z) {
-              vnf_sites->push_back(route.sites[z]);
-            }
-          }
-        }
+        auto vnf_sites = route_sites(*rec, dp_options_, /*try_lp=*/true,
+                                     /*admissible_only=*/true);
         report.events.push_back({"route_computed", context_.sim.now()});
         if (!vnf_sites) {
           SB_LOG(kWarn) << "recovery: no feasible replacement route for "
@@ -1057,7 +817,7 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
           return;
         }
         RouteRecord route_record;
-        route_record.id = RouteId{next_route_id_++};
+        route_record.id = RouteId{state_.next_route_id++};
         route_record.weight = 1.0;
         route_record.vnf_sites = std::move(*vnf_sites);
         report.route = route_record.id;
@@ -1075,7 +835,7 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
                        }
                      },
                      {}, 0);
-      });
+      }));
 }
 
 void GlobalSwitchboard::on_route_ready(ChainId chain, RouteId route,
@@ -1110,21 +870,22 @@ void GlobalSwitchboard::enable_durability(StateJournal* journal) {
   // Persist the current state as the base snapshot so a crash before the
   // first journaled change still recovers the epoch and any pre-existing
   // chains.
-  journal_->write_snapshot(encode_snapshot());
+  journal_->write_snapshot(state_.encode_snapshot());
 }
 
-void GlobalSwitchboard::journal_append(const std::string& record) {
+void GlobalSwitchboard::journal_append(const JournalRecord& record) {
   if (journal_ == nullptr) return;
-  journal_->append(record);
+  const std::string line = encode(record);
+  journal_->append(line);
   // The replication stream taps every append, in order, right here.
-  if (journal_observer_) journal_observer_(record);
+  if (journal_observer_) journal_observer_(line);
   if (journal_->wants_snapshot()) {
     if (compaction_gate_) {
       // Replicated mode: the snapshot is first installed on a quorum of
       // followers; the gate calls compact_journal_now() on their ack.
       compaction_gate_();
     } else {
-      journal_->write_snapshot(encode_snapshot());
+      journal_->write_snapshot(state_.encode_snapshot());
     }
   }
 }
@@ -1156,212 +917,64 @@ void GlobalSwitchboard::compact_journal_now() {
   // Re-encode at call time: records appended while the replicated install
   // was in flight are part of the state by now, so truncation loses
   // nothing.
-  journal_->write_snapshot(encode_snapshot());
-}
-
-std::vector<std::string> GlobalSwitchboard::encode_snapshot() const {
-  // One grammar for snapshot and log: a snapshot is just the shortest
-  // record sequence that replays to the current state.
-  std::vector<std::string> records;
-  records.push_back("t=epoch;n=" + std::to_string(epoch_));
-  records.push_back("t=nri;n=" + std::to_string(next_route_id_));
-  for (const ChainRecord& record : chains_) {
-    records.push_back(encode_chain(record));
-    for (const RouteRecord& route : record.routes) {
-      records.push_back(encode_begin(record.id, route.id, route.vnf_sites));
-      records.push_back(pair_record("commit", record.id, route.id));
-    }
-  }
-  for (const auto& [pool, capacity] : dead_pools_) {
-    std::ostringstream out;
-    out << "t=pooldown;vnf=" << pool.first << ";site=" << pool.second
-        << ";cap=" << exact(capacity);
-    records.push_back(out.str());
-  }
-  for (const auto& [key, round] : inflight_) {
-    const ChainId chain{key.first};
-    const RouteId route{key.second};
-    records.push_back(encode_begin(chain, route, round.vnf_sites));
-    if (round.prepared) {
-      records.push_back(pair_record("prep", chain, route));
-    }
-  }
-  return records;
-}
-
-void GlobalSwitchboard::replay_record(const std::string& record,
-                                      std::uint64_t& max_epoch) {
-  const auto fields = journal_fields(record);
-  const auto type_it = fields.find("t");
-  SWB_CHECK(type_it != fields.end()) << "journal record without type";
-  const std::string& type = type_it->second;
-
-  if (type == "epoch") {
-    max_epoch = std::max(max_epoch, field_u64(fields, "n"));
-  } else if (type == "nri") {
-    next_route_id_ = std::max<std::uint32_t>(
-        next_route_id_, static_cast<std::uint32_t>(field_u64(fields, "n")));
-  } else if (type == "chain") {
-    // The network model is shared infrastructure state, not coordinator
-    // memory: the chain is still registered there, only the coordinator's
-    // record is rebuilt.
-    ChainRecord rec;
-    rec.id = ChainId{static_cast<std::uint32_t>(field_u64(fields, "id"))};
-    const auto name = fields.find("name");
-    rec.spec.name = name != fields.end() ? name->second : std::string{};
-    rec.spec.ingress_service =
-        EdgeServiceId{static_cast<std::uint32_t>(field_u64(fields, "ins"))};
-    rec.spec.ingress_node =
-        NodeId{static_cast<std::uint32_t>(field_u64(fields, "inn"))};
-    rec.spec.egress_service =
-        EdgeServiceId{static_cast<std::uint32_t>(field_u64(fields, "egs"))};
-    rec.spec.egress_node =
-        NodeId{static_cast<std::uint32_t>(field_u64(fields, "egn"))};
-    for (const std::uint32_t vnf : field_u32_list(fields, "vnfs")) {
-      rec.spec.vnfs.push_back(VnfId{vnf});
-    }
-    rec.spec.forward_traffic = field_double(fields, "ft");
-    rec.spec.reverse_traffic = field_double(fields, "rt");
-    rec.labels = dataplane::Labels{
-        static_cast<std::uint32_t>(field_u64(fields, "cl")),
-        static_cast<std::uint32_t>(field_u64(fields, "el"))};
-    rec.ingress_site =
-        SiteId{static_cast<std::uint32_t>(field_u64(fields, "insite"))};
-    rec.egress_site =
-        SiteId{static_cast<std::uint32_t>(field_u64(fields, "egsite"))};
-    chains_.push_back(std::move(rec));
-  } else if (type == "begin") {
-    const std::uint32_t chain =
-        static_cast<std::uint32_t>(field_u64(fields, "chain"));
-    const std::uint32_t route =
-        static_cast<std::uint32_t>(field_u64(fields, "route"));
-    Inflight round;
-    for (const std::uint32_t site : field_u32_list(fields, "sites")) {
-      round.vnf_sites.push_back(SiteId{site});
-    }
-    inflight_[{chain, route}] = std::move(round);
-    next_route_id_ = std::max(next_route_id_, route + 1);
-  } else if (type == "prep") {
-    const auto key = std::make_pair(
-        static_cast<std::uint32_t>(field_u64(fields, "chain")),
-        static_cast<std::uint32_t>(field_u64(fields, "route")));
-    const auto it = inflight_.find(key);
-    SWB_CHECK(it != inflight_.end()) << "prep without begin: " << record;
-    it->second.prepared = true;
-  } else if (type == "commit") {
-    const auto key = std::make_pair(
-        static_cast<std::uint32_t>(field_u64(fields, "chain")),
-        static_cast<std::uint32_t>(field_u64(fields, "route")));
-    const auto it = inflight_.find(key);
-    SWB_CHECK(it != inflight_.end()) << "commit without begin: " << record;
-    for (ChainRecord& rec : chains_) {
-      if (rec.id.value() != key.first) continue;
-      RouteRecord route;
-      route.id = RouteId{key.second};
-      route.vnf_sites = std::move(it->second.vnf_sites);
-      route.weight = 1.0;   // rebalanced to 1/N once replay finishes
-      rec.routes.push_back(std::move(route));
-      inflight_.erase(it);
-      return;
-    }
-    SWB_CHECK(false) << "commit for unknown chain: " << record;
-  } else if (type == "abort" || type == "retire") {
-    const auto key = std::make_pair(
-        static_cast<std::uint32_t>(field_u64(fields, "chain")),
-        static_cast<std::uint32_t>(field_u64(fields, "route")));
-    inflight_.erase(key);
-    for (ChainRecord& rec : chains_) {
-      if (rec.id.value() != key.first) continue;
-      std::erase_if(rec.routes, [&](const RouteRecord& route) {
-        return route.id.value() == key.second;
-      });
-    }
-  } else if (type == "pooldown") {
-    dead_pools_[{static_cast<std::uint32_t>(field_u64(fields, "vnf")),
-                 static_cast<std::uint32_t>(field_u64(fields, "site"))}] =
-        field_double(fields, "cap");
-  } else if (type == "poolup") {
-    dead_pools_.erase(
-        {static_cast<std::uint32_t>(field_u64(fields, "vnf")),
-         static_cast<std::uint32_t>(field_u64(fields, "site"))});
-  } else {
-    SWB_CHECK(false) << "unknown journal record type: " << record;
-  }
+  journal_->write_snapshot(state_.encode_snapshot());
 }
 
 ColdStartReport GlobalSwitchboard::cold_start() {
   SWB_CHECK(journal_ != nullptr) << "cold_start requires enable_durability";
   SB_LOG(kInfo) << "durability: cold start from journal '"
                 << journal_->config().name << "'";
-  return restart_from_journal(journal_->replay_cost());
+  const std::vector<std::string> records = journal_->records();
+  Result<ControllerState> replayed = ControllerState::replay(records);
+  SWB_CHECK(replayed.ok()) << "journal does not replay: "
+                           << replayed.error().to_string();
+  return restart_with(std::move(replayed).value(), records.size(),
+                      journal_->replay_cost());
 }
 
-ColdStartReport GlobalSwitchboard::warm_failover(StateJournal* journal) {
+ColdStartReport GlobalSwitchboard::warm_failover(StateJournal* journal,
+                                                 ControllerState state) {
   SWB_CHECK(journal != nullptr);
   journal_ = journal;
   SB_LOG(kInfo) << "replication: warm failover onto journal '"
                 << journal_->config().name << "'";
-  // The promoted standby applied every record as it arrived: the rebuild
-  // below is bookkeeping, not recovery — no replay cost is charged, the
-  // resolution sweep runs one tick out.
-  return restart_from_journal(sim::Duration{0});
+  return restart_with(std::move(state), 0, sim::Duration{0});
 }
 
-ColdStartReport GlobalSwitchboard::restart_from_journal(
+ColdStartReport GlobalSwitchboard::restart_with(
+    ControllerState state, std::size_t replayed_records,
     sim::Duration charged_replay_cost) {
-  // Amnesia: every volatile structure is forgotten, including the epoch —
-  // it is recovered from the journal below.
-  chains_.clear();
+  // Amnesia: every volatile structure is forgotten; the journaled part is
+  // `state`, rebuilt by replay or adopted from a hot standby.
+  state_ = std::move(state);
   pending_.clear();
-  inflight_.clear();
-  dead_pools_.clear();
-  next_route_id_ = 0;
 
   ColdStartReport report;
-  std::uint64_t max_epoch = 0;
-  for (const std::string& record : journal_->snapshot_records()) {
-    replay_record(record, max_epoch);
-    ++report.replayed_records;
-  }
-  for (const std::string& record : journal_->log_records()) {
-    replay_record(record, max_epoch);
-    ++report.replayed_records;
-  }
-
-  // Post-replay normalization: weights rebalance to the same 1/N the live
-  // path maintains, and a chain is active iff it has routes.
-  for (ChainRecord& record : chains_) {
-    record.active = !record.routes.empty();
-    if (record.routes.empty()) continue;
-    const double weight = 1.0 / static_cast<double>(record.routes.size());
-    for (RouteRecord& route : record.routes) route.weight = weight;
+  report.replayed_records = replayed_records;
+  report.chains_restored = state_.chains.size();
+  for (const ChainRecord& record : state_.chains) {
     report.routes_restored += record.routes.size();
   }
-  report.chains_restored = chains_.size();
   rebuild_loads();
 
   // The new incarnation outranks everything the journal has seen; persist
   // the bump so a second crash recovers a still-higher epoch.
   report.replay_cost = charged_replay_cost;
-  epoch_ = max_epoch + 1;
+  ++state_.epoch;
   up_ = true;
-  report.epoch = epoch_;
-  journal_append("t=epoch;n=" + std::to_string(epoch_));
+  report.epoch = state_.epoch;
+  journal_append(journal::Epoch{state_.epoch});
   last_cold_start_ = report;
 
   // Charge the replay as simulated downtime, then resolve what the crash
   // interrupted and reconcile the participants.
-  const std::uint64_t ep = epoch_;
   context_.sim.schedule(
       std::max<sim::Duration>(sim::Duration{1}, report.replay_cost),
-      [this, ep] {
-        if (!up_ || ep != epoch_) return;
-        resolve_inflight_and_reconcile();
-      });
+      fenced([this] { resolve_inflight_and_reconcile(); }));
   SB_LOG(kInfo) << "durability: replayed " << report.replayed_records
                 << " record(s), " << report.chains_restored << " chain(s), "
                 << report.routes_restored << " route(s), new epoch "
-                << epoch_;
+                << state_.epoch;
   return report;
 }
 
@@ -1370,7 +983,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
   // unanimous votes, so commit is the only outcome that cannot strand a
   // participant reservation; unprepared rounds abort (no participant may
   // have heard anything, and an abort for an unknown round is a no-op).
-  const auto inflight = inflight_;   // re-drives mutate inflight_
+  const auto inflight = state_.inflight;   // re-drives mutate state_.inflight
   for (const auto& [key, round] : inflight) {
     const ChainId chain{key.first};
     const RouteId route_id{key.second};
@@ -1407,13 +1020,13 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
           if (vnf.value() >= vnf_controllers_.size()) continue;
           VnfController* controller = vnf_controllers_[vnf.value()];
           if (controller != nullptr && controller->up()) {
-            controller->abort(chain, route_id, epoch_);
+            controller->abort(chain, route_id, state_.epoch);
             ++last_cold_start_.reconciliation_messages;
           }
         }
       }
-      journal_append(pair_record("abort", chain, route_id));
-      inflight_.erase(key);
+      state_.inflight.erase(key);
+      journal_append(journal::Abort{{chain, route_id}});
     }
   }
 
@@ -1425,7 +1038,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
     ++last_cold_start_.reconciliation_messages;   // the sweep query itself
     for (const auto& [chain, route_id] : controller->committed_routes()) {
       bool owned =
-          inflight_.count({chain.value(), route_id.value()}) > 0;
+          state_.inflight.count({chain.value(), route_id.value()}) > 0;
       if (!owned) {
         const ChainRecord* rec = find_record(chain);
         if (rec != nullptr) {
@@ -1437,7 +1050,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
       if (owned) continue;
       SB_LOG(kInfo) << "durability: releasing orphaned capacity for chain "
                     << chain << " route " << route_id;
-      controller->release(chain, route_id, epoch_);
+      controller->release(chain, route_id, state_.epoch);
       ++last_cold_start_.orphans_released;
       ++last_cold_start_.reconciliation_messages;
     }
@@ -1446,7 +1059,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
   // Re-publish every active chain under the new epoch so the Local
   // Switchboards' fences advance and any stale-incarnation announcement
   // still in flight is rejected on arrival.
-  for (const ChainRecord& record : chains_) {
+  for (const ChainRecord& record : state_.chains) {
     if (!record.active) continue;
     publish_routes(record);
     last_cold_start_.reconciliation_messages += record.routes.size();
@@ -1458,26 +1071,22 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
 
 void GlobalSwitchboard::on_instance_up(VnfId vnf, SiteId site) {
   if (!up_) return;
-  const auto it = dead_pools_.find({vnf.value(), site.value()});
-  if (it == dead_pools_.end()) return;   // never seen down, or already up
+  const auto it = state_.dead_pools.find({vnf.value(), site.value()});
+  if (it == state_.dead_pools.end()) return;   // never seen down, or already up
   SB_LOG(kInfo) << "recovery: vnf " << vnf << " back up at site " << site
                 << ", restoring capacity " << it->second;
   context_.model.set_vnf_site_capacity(vnf, site, it->second);
-  std::ostringstream record;
-  record << "t=poolup;vnf=" << vnf.value() << ";site=" << site.value();
-  journal_append(record.str());
-  dead_pools_.erase(it);
+  state_.dead_pools.erase(it);
+  journal_append(journal::PoolUp{vnf, site});
   // Re-announce the pool so Local Switchboards rebalance onto it — behind
   // the quorum barrier, like the pool-down drain.
-  const std::uint64_t ep = epoch_;
-  after_quorum([this, ep, vnf, site] {
-    if (!up_ || ep != epoch_) return;
+  after_quorum(fenced([this, vnf, site] {
     if (vnf.value() < vnf_controllers_.size() &&
         vnf_controllers_[vnf.value()] != nullptr &&
         vnf_controllers_[vnf.value()]->up()) {
       vnf_controllers_[vnf.value()]->reannounce_instances(site);
     }
-  });
+  }));
 }
 
 }  // namespace switchboard::control

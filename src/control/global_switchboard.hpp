@@ -10,21 +10,17 @@
 // and report readiness.  Dynamic route addition (Fig. 10) reuses the same
 // machinery and rebalances route weights.
 //
-// Durability (DESIGN.md §13): with enable_durability() the coordinator
-// writes every committed state change through a control::StateJournal —
-// chain registration, 2PC begin/prepare/commit/abort, route retirement,
-// pool capacity transitions — and carries a monotonically increasing
-// incarnation epoch on every route announcement and participant RPC.
-// After a crash-with-amnesia, cold_start() rebuilds chains/routes/loads
-// from snapshot+replay, re-drives prepared-but-uncommitted 2PC rounds,
-// aborts begun-but-unprepared ones, reconciles committed capacity against
-// the participants (releasing orphans), and bumps the epoch so stale
-// commands from the previous incarnation are fenced everywhere.
+// Durability (DESIGN.md §13): the journaled part of the coordinator is a
+// ControllerState; with enable_durability() every change to it is written
+// through a control::StateJournal as a typed JournalRecord.  After a
+// crash-with-amnesia, cold_start() replays it (warm_failover() adopts a
+// standby's), bumps the incarnation epoch that fences the previous one's
+// commands everywhere, re-drives prepared 2PC rounds, aborts unprepared
+// ones and releases capacity no journaled route owns.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -34,6 +30,7 @@
 #include "bus/topic.hpp"
 #include "common/result.hpp"
 #include "control/context.hpp"
+#include "control/controller_state.hpp"
 #include "control/edge_controller.hpp"
 #include "control/local_switchboard.hpp"
 #include "control/messages.hpp"
@@ -45,40 +42,12 @@
 
 namespace switchboard::control {
 
-struct ChainSpec {
-  std::string name;
-  EdgeServiceId ingress_service;
-  NodeId ingress_node;
-  EdgeServiceId egress_service;
-  NodeId egress_node;
-  std::vector<VnfId> vnfs;
-  /// Estimated per-stage traffic (customer estimate at first deployment).
-  double forward_traffic{1.0};
-  double reverse_traffic{0.0};
-};
-
-struct RouteRecord {
-  RouteId id;
-  std::vector<SiteId> vnf_sites;   // one per VNF in the chain
-  double weight{1.0};
-};
-
-struct ChainRecord {
-  ChainId id;
-  ChainSpec spec;
-  dataplane::Labels labels;
-  SiteId ingress_site;
-  SiteId egress_site;
-  std::vector<RouteRecord> routes;
-  bool active{false};
-};
-
 struct CreationEvent {
   std::string name;
   sim::SimTime at{0};
 };
 
-/// Summary of one recovery action (on_instance_down / on_link_down).
+/// Summary of one recovery action (on_instance_down).
 struct RecoveryReport {
   std::size_t affected_chains{0};
   /// Routes retired (tombstoned with weight 0, capacity released).
@@ -154,7 +123,6 @@ class GlobalSwitchboard {
   /// Nullable lookup: nullptr when the chain was never created.
   [[nodiscard]] const ChainRecord* find_record(ChainId chain) const;
   [[nodiscard]] const te::Loads& loads() const { return loads_; }
-  [[nodiscard]] te::DpOptions& dp_options() { return dp_options_; }
 
   /// Route-compute mode for new and replacement routes.  kSbDp runs the
   /// greedy DP against current loads (the default); kSbLp re-solves the
@@ -181,7 +149,9 @@ class GlobalSwitchboard {
   /// continuations from the old incarnation are dropped by epoch guards.
   void set_up(bool up) { up_ = up; }
   [[nodiscard]] bool up() const { return up_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  /// Incarnation epoch, starting at 1 and bumped by every restart or
+  /// failover.  Carried on every route announcement and participant RPC.
+  [[nodiscard]] std::uint64_t epoch() const { return state_.epoch; }
 
   /// Crash-with-amnesia recovery: wipes all volatile state, replays
   /// snapshot+log from the journal, bumps the incarnation epoch, then
@@ -220,19 +190,18 @@ class GlobalSwitchboard {
   /// snapshot install was in flight are never lost to truncation).
   void compact_journal_now();
 
-  /// Full state in journal-record grammar — what a snapshot install
-  /// streams to followers.
-  [[nodiscard]] std::vector<std::string> snapshot_state() const {
-    return encode_snapshot();
-  }
+  /// The journaled state: chains, in-flight 2PC rounds, dead pools, the
+  /// route-id allocator and the epoch.  Its encode_snapshot() is what a
+  /// snapshot install streams to followers.
+  [[nodiscard]] const ControllerState& state() const { return state_; }
 
   /// Leader failover onto a hot standby: re-points the coordinator at the
-  /// promoted replica's journal and rebuilds from it like cold_start(),
-  /// but charges NO replay cost — the standby applied every record as it
-  /// arrived, so promotion is an epoch bump plus the §13 resolution
-  /// sweep (re-drive prepared 2PC, abort unprepared, reconcile,
+  /// promoted replica's journal and adopts the state the standby applied
+  /// record by record as they arrived — no journal record is read and no
+  /// replay cost is charged.  Promotion is an epoch bump plus the §13
+  /// resolution sweep (re-drive prepared 2PC, abort unprepared, reconcile,
   /// re-publish), scheduled one tick out.
-  ColdStartReport warm_failover(StateJournal* journal);
+  ColdStartReport warm_failover(StateJournal* journal, ControllerState state);
 
   /// A previously-failed VNF pool at `site` is back: restores the
   /// capacity zeroed by on_instance_down and re-announces the pool so
@@ -250,11 +219,6 @@ class GlobalSwitchboard {
   /// comparison.
   RecoveryReport on_instance_down(VnfId vnf, SiteId site);
 
-  /// A wide-area link died: removes its usable capacity (background
-  /// traffic fills it — topology capacities stay positive) and retires
-  /// every route whose ECMP footprint crosses the link.
-  RecoveryReport on_link_down(LinkId link);
-
   /// Audits the coordinator (aborts via SWB_CHECK on violation): chain ids
   /// and names are unique, every active chain's route weights sum to 1 and
   /// each route places one site per VNF stage, route ids stay below the
@@ -271,12 +235,14 @@ class GlobalSwitchboard {
     CreationCallback done;
   };
 
-  /// One 2PC round between its journaled begin and its terminal record —
-  /// exactly what a cold start must resolve.
-  struct Inflight {
-    std::vector<SiteId> vnf_sites;
-    bool prepared{false};
-  };
+  /// Wraps a continuation so it runs only while the incarnation that
+  /// scheduled it is up and current: a crash or an epoch bump fences it.
+  template <typename Fn>
+  [[nodiscard]] auto fenced(Fn fn) {
+    return [this, ep = state_.epoch, fn = std::move(fn)]() mutable {
+      if (up_ && ep == state_.epoch) fn();
+    };
+  }
 
   /// Runs 2PC for a route, then publishes and tracks readiness.
   void commit_route(ChainRecord& record, RouteRecord route,
@@ -315,9 +281,12 @@ class GlobalSwitchboard {
   /// retired by recovery (completion is logged, not reported upward).
   void replace_route(ChainId chain);
 
-  [[nodiscard]] bool route_uses_link(const ChainRecord& record,
-                                     const RouteRecord& route,
-                                     LinkId link) const;
+  /// VNF placement for a new route of `record`: SB-LP when `try_lp` and
+  /// the mode say so, else SB-DP under `options`; nullopt when none is
+  /// found (or, with `admissible_only`, none admits traffic).
+  [[nodiscard]] std::optional<std::vector<SiteId>> route_sites(
+      const ChainRecord& record, const te::DpOptions& options, bool try_lp,
+      bool admissible_only);
 
   /// SB-LP compute path: LP re-solve (warm-started when a prior basis is
   /// on hand) + flow decomposition for `chain`.  nullopt means the LP was
@@ -346,6 +315,9 @@ class GlobalSwitchboard {
   void rebuild_loads();
   /// Rebuilds loads_ only if never primed or the model was resized.
   void ensure_loads_current();
+  /// Adds `weight` of one route's stage traffic to `loads`.
+  void add_route_flow(te::Loads& loads, const ChainRecord& record,
+                      const RouteRecord& route, double weight) const;
   /// Adds `weight_delta` of one route's traffic to loads_.
   void apply_route_loads(const ChainRecord& record, const RouteRecord& route,
                          double weight_delta);
@@ -358,19 +330,17 @@ class GlobalSwitchboard {
   // --- durability internals ----------------------------------------------
   /// Appends one record; notifies the journal observer; compacts into a
   /// snapshot when the journal asks (or defers to the compaction gate).
-  void journal_append(const std::string& record);
+  void journal_append(const JournalRecord& record);
   /// Runs `resume` behind the quorum gate when one is set, synchronously
   /// otherwise (single-controller mode keeps its exact pre-replication
   /// timing).  Callers epoch-guard inside `resume`.
   void after_quorum(std::function<void()> resume);
-  /// Shared body of cold_start() and warm_failover(): rebuild from
-  /// journal_, bump the epoch, schedule the resolution sweep after
-  /// `settle_delay` (replay cost for cold starts, one tick for warm
-  /// promotions).
-  ColdStartReport restart_from_journal(sim::Duration charged_replay_cost);
-  /// Full state in journal-record grammar (replayable via replay_record).
-  [[nodiscard]] std::vector<std::string> encode_snapshot() const;
-  void replay_record(const std::string& record, std::uint64_t& max_epoch);
+  /// Shared body of cold_start() and warm_failover(): adopt `state`,
+  /// bump the epoch, schedule the resolution sweep after the charged
+  /// replay cost (one tick for warm promotions).
+  ColdStartReport restart_with(ControllerState state,
+                               std::size_t replayed_records,
+                               sim::Duration charged_replay_cost);
   /// Post-replay phase: re-drive / abort in-flight rounds, reconcile
   /// participant capacity, re-publish routes under the new epoch.
   void resolve_inflight_and_reconcile();
@@ -380,7 +350,8 @@ class GlobalSwitchboard {
   std::vector<EdgeController*> edge_controllers_;     // by EdgeServiceId
   std::vector<VnfController*> vnf_controllers_;       // by VnfId
   std::vector<LocalSwitchboard*> local_switchboards_; // by SiteId
-  std::vector<ChainRecord> chains_;
+  /// The journaled part of the coordinator (epoch included).
+  ControllerState state_;
   std::vector<PendingActivation> pending_;
   te::Loads loads_;
   bool loads_primed_{false};
@@ -392,7 +363,6 @@ class GlobalSwitchboard {
   /// recomputes converge in a handful of pivots.
   lp::Basis lp_basis_;
   bool lp_basis_valid_{false};
-  std::uint32_t next_route_id_{0};
 
   StateJournal* journal_{nullptr};
   /// Replication hooks (unset in single-controller mode; see DESIGN.md §18).
@@ -400,15 +370,6 @@ class GlobalSwitchboard {
   std::function<void(std::function<void()>)> quorum_gate_;
   std::function<void()> compaction_gate_;
   bool up_{true};
-  /// Incarnation epoch, starting at 1 and bumped by every cold start.
-  /// Carried on every route announcement and participant RPC.
-  std::uint64_t epoch_{1};
-  /// 2PC rounds between journaled begin and terminal record, keyed by
-  /// (chain, route) — snapshots persist these so a crash at any point
-  /// leaves enough to re-drive or abort.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, Inflight> inflight_;
-  /// Failed pools (vnf, site) -> capacity to restore on on_instance_up.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> dead_pools_;
   ColdStartReport last_cold_start_;
 };
 

@@ -1,50 +1,102 @@
 #include "control/messages.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <limits>
 #include <sstream>
-#include <unordered_map>
 
 namespace switchboard::control {
 namespace {
 
-/// Parses "k1=v1;k2=v2;..." into a map.
-std::unordered_map<std::string, std::string> parse_fields(
-    const std::string& payload) {
-  std::unordered_map<std::string, std::string> fields;
-  std::istringstream in{payload};
-  std::string pair;
-  while (std::getline(in, pair, ';')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    fields[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-  return fields;
-}
-
-bool get_u64(const std::unordered_map<std::string, std::string>& fields,
-             const std::string& key, std::uint64_t& out) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return false;
-  try {
-    out = std::stoull(it->second);
-  } catch (...) {
-    return false;
+/// Calls `fn` on every non-empty `sep`-separated item of `list`; false as
+/// soon as `fn` is.
+template <typename Fn>
+bool for_each_item(std::string_view list, char sep, Fn&& fn) {
+  while (!list.empty()) {
+    const std::size_t end = std::min(list.find(sep), list.size());
+    if (end > 0 && !fn(list.substr(0, end))) return false;
+    list.remove_prefix(std::min(end + 1, list.size()));
   }
   return true;
 }
 
-bool get_double(const std::unordered_map<std::string, std::string>& fields,
-                const std::string& key, double& out) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return false;
-  try {
-    out = std::stod(it->second);
-  } catch (...) {
-    return false;
+/// Calls `fn` with the three ':'-separated fields of every ','-separated
+/// item of `list`; false when an item is malformed or `fn` says so.
+template <typename Fn>
+bool for_each_triple(std::string_view list, Fn&& fn) {
+  return for_each_item(list, ',', [&fn](std::string_view item) {
+    const auto c1 = item.find(':');
+    const auto c2 = item.find(':', c1 + 1);
+    return c1 != std::string_view::npos && c2 != std::string_view::npos &&
+           fn(item.substr(0, c1), item.substr(c1 + 1, c2 - c1 - 1),
+              item.substr(c2 + 1));
+  });
+}
+
+template <typename T>
+std::optional<T> parse_number(std::string_view token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<std::uint32_t> parse_u32(std::string_view token) {
+  const auto value = parse_number<std::uint64_t>(token);
+  if (!value || *value > std::numeric_limits<std::uint32_t>::max()) {
+    return std::nullopt;
   }
-  return true;
+  return static_cast<std::uint32_t>(*value);
 }
 
 }  // namespace
+
+KvFields::KvFields(std::string_view payload) {
+  for_each_item(payload, ';', [this](std::string_view pair) {
+    const std::size_t eq = pair.find('=');
+    if (eq != std::string_view::npos) {
+      fields_.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
+    }
+    return true;
+  });
+}
+
+std::optional<std::string_view> KvFields::text(std::string_view key) const {
+  for (auto it = fields_.rbegin(); it != fields_.rend(); ++it) {
+    if (it->first == key) return it->second;
+  }
+  return std::nullopt;
+}
+
+std::uint64_t KvFields::u64(std::string_view key) {
+  const auto value = parse_number<std::uint64_t>(text(key).value_or(""));
+  ok_ = ok_ && value;
+  return value.value_or(0);
+}
+
+std::uint32_t KvFields::u32(std::string_view key) {
+  const auto value = parse_u32(text(key).value_or(""));
+  ok_ = ok_ && value;
+  return value.value_or(0);
+}
+
+double KvFields::f64(std::string_view key) {
+  const auto value = parse_number<double>(text(key).value_or(""));
+  ok_ = ok_ && value;
+  return value.value_or(0.0);
+}
+
+std::vector<std::uint32_t> KvFields::u32_list(std::string_view key) {
+  std::vector<std::uint32_t> out;
+  const auto list = text(key);
+  ok_ = ok_ && list && for_each_item(*list, ',', [&out](std::string_view v) {
+          const auto id = parse_u32(v);
+          if (id) out.push_back(*id);
+          return id.has_value();
+        });
+  return out;
+}
 
 std::string serialize(const InstanceAnnouncement& m) {
   std::ostringstream out;
@@ -85,102 +137,48 @@ std::string serialize(const Heartbeat& m) {
 }
 
 std::optional<Heartbeat> parse_heartbeat(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t site = 0;
-  Heartbeat m;
-  if (!get_u64(fields, "site", site) || !get_u64(fields, "seq", m.seq)) {
-    return std::nullopt;
-  }
-  m.site = SiteId{static_cast<SiteId::underlying_type>(site)};
-  const auto down_it = fields.find("down");
-  if (down_it == fields.end()) return std::nullopt;
-  std::istringstream down_in{down_it->second};
-  std::string id;
-  while (std::getline(down_in, id, ',')) {
-    if (id.empty()) continue;
-    try {
-      m.down_elements.push_back(
-          static_cast<dataplane::ElementId>(std::stoul(id)));
-    } catch (...) {
-      return std::nullopt;
-    }
-  }
+  KvFields f{payload};
+  Heartbeat m{SiteId{f.u32("site")}, f.u64("seq"),
+              f.u32_list("down")};
+  if (!f.ok()) return std::nullopt;
   return m;
 }
 
 std::optional<InstanceAnnouncement> parse_instance(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t id = 0;
-  std::uint64_t fw = 0;
-  InstanceAnnouncement m;
-  if (!get_u64(fields, "id", id) || !get_u64(fields, "fw", fw) ||
-      !get_double(fields, "w", m.weight)) {
-    return std::nullopt;
-  }
-  m.instance = static_cast<dataplane::ElementId>(id);
-  m.forwarder = static_cast<dataplane::ElementId>(fw);
+  KvFields f{payload};
+  InstanceAnnouncement m{f.u32("id"), f.u32("fw"), f.f64("w")};
+  if (!f.ok()) return std::nullopt;
   return m;
 }
 
 std::optional<ForwarderAnnouncement> parse_forwarder(
     const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t id = 0;
-  ForwarderAnnouncement m;
-  if (!get_u64(fields, "id", id) || !get_double(fields, "w", m.weight)) {
-    return std::nullopt;
-  }
-  m.forwarder = static_cast<dataplane::ElementId>(id);
+  KvFields f{payload};
+  ForwarderAnnouncement m{f.u32("id"), f.f64("w")};
+  if (!f.ok()) return std::nullopt;
   return m;
 }
 
 std::optional<RouteAnnouncement> parse_route(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t chain = 0;
-  std::uint64_t route = 0;
-  std::uint64_t cl = 0;
-  std::uint64_t el = 0;
-  std::uint64_t in = 0;
-  std::uint64_t out = 0;
-  RouteAnnouncement m;
-  if (!get_u64(fields, "chain", chain) || !get_u64(fields, "route", route) ||
-      !get_u64(fields, "cl", cl) || !get_u64(fields, "el", el) ||
-      !get_u64(fields, "in", in) || !get_u64(fields, "out", out) ||
-      !get_double(fields, "w", m.weight)) {
-    return std::nullopt;
-  }
-  m.chain = ChainId{static_cast<ChainId::underlying_type>(chain)};
-  m.route = RouteId{static_cast<RouteId::underlying_type>(route)};
-  m.chain_label = static_cast<std::uint32_t>(cl);
-  m.egress_label = static_cast<std::uint32_t>(el);
-  m.ingress_site = SiteId{static_cast<SiteId::underlying_type>(in)};
-  m.egress_site = SiteId{static_cast<SiteId::underlying_type>(out)};
-  // Optional for wire compatibility with pre-epoch senders: absent => 0.
-  get_u64(fields, "ep", m.epoch);
-
-  const auto hops_it = fields.find("hops");
-  if (hops_it == fields.end()) return std::nullopt;
-  std::istringstream hops_in{hops_it->second};
-  std::string hop;
-  while (std::getline(hops_in, hop, ',')) {
-    if (hop.empty()) continue;
-    RouteHop h;
-    const auto c1 = hop.find(':');
-    const auto c2 = hop.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      return std::nullopt;
-    }
-    try {
-      h.stage = std::stoul(hop.substr(0, c1));
-      h.vnf = VnfId{static_cast<VnfId::underlying_type>(
-          std::stoul(hop.substr(c1 + 1, c2 - c1 - 1)))};
-      h.site = SiteId{static_cast<SiteId::underlying_type>(
-          std::stoul(hop.substr(c2 + 1)))};
-    } catch (...) {
-      return std::nullopt;
-    }
-    m.hops.push_back(h);
-  }
+  KvFields f{payload};
+  RouteAnnouncement m{ChainId{f.u32("chain")}, RouteId{f.u32("route")},
+                      f.u32("cl"),   f.u32("el"),
+                      SiteId{f.u32("in")}, SiteId{f.u32("out")},
+                      f.f64("w"),
+                      // Optional for wire compatibility with pre-epoch
+                      // senders: absent => 0.
+                      f.text("ep") ? f.u64("ep") : 0, {}};
+  const auto hops = f.text("hops");
+  if (!f.ok() || !hops) return std::nullopt;
+  const bool ok = for_each_triple(*hops, [&m](auto stage, auto vnf,
+                                             auto site) {
+    const auto z = parse_u32(stage);
+    const auto v = parse_u32(vnf);
+    const auto s = parse_u32(site);
+    if (z && v && s) m.hops.push_back(RouteHop{*z, VnfId{*v}, SiteId{*s}});
+    return z && v && s;
+  });
+  if (!ok) return std::nullopt;
   return m;
 }
 
@@ -197,37 +195,20 @@ std::string serialize(const AnycastAnnouncement& m) {
 }
 
 std::optional<AnycastAnnouncement> parse_anycast(const std::string& payload) {
-  const auto fields = parse_fields(payload);
-  std::uint64_t origin = 0;
-  AnycastAnnouncement m;
-  if (!get_u64(fields, "origin", origin) || !get_u64(fields, "seq", m.seq) ||
-      !get_double(fields, "pd", m.path_delay_ms)) {
-    return std::nullopt;
-  }
-  m.origin = SiteId{static_cast<SiteId::underlying_type>(origin)};
-  const auto vnfs_it = fields.find("vnfs");
-  if (vnfs_it == fields.end()) return std::nullopt;
-  std::istringstream vnfs_in{vnfs_it->second};
-  std::string entry;
-  while (std::getline(vnfs_in, entry, ',')) {
-    if (entry.empty()) continue;
-    const auto c1 = entry.find(':');
-    const auto c2 = entry.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      return std::nullopt;
-    }
-    AnycastVnfEntry e;
-    try {
-      e.vnf = VnfId{static_cast<VnfId::underlying_type>(
-          std::stoul(entry.substr(0, c1)))};
-      e.live_instances =
-          static_cast<std::uint32_t>(std::stoul(entry.substr(c1 + 1, c2 - c1 - 1)));
-      e.residual_capacity = std::stod(entry.substr(c2 + 1));
-    } catch (...) {
-      return std::nullopt;
-    }
-    m.entries.push_back(e);
-  }
+  KvFields f{payload};
+  AnycastAnnouncement m{SiteId{f.u32("origin")}, f.u64("seq"), f.f64("pd"),
+                        {}};
+  const auto vnfs = f.text("vnfs");
+  if (!f.ok() || !vnfs) return std::nullopt;
+  const bool ok = for_each_triple(*vnfs, [&m](auto vnf, auto live,
+                                             auto residual) {
+    const auto v = parse_u32(vnf);
+    const auto l = parse_u32(live);
+    const auto r = parse_number<double>(residual);
+    if (v && l && r) m.entries.push_back(AnycastVnfEntry{VnfId{*v}, *l, *r});
+    return v && l && r;
+  });
+  if (!ok) return std::nullopt;
   return m;
 }
 
@@ -246,23 +227,18 @@ std::string serialize(const ReplicationFrame& m) {
 std::optional<ReplicationFrame> parse_replication(const std::string& payload) {
   // The body carries raw journal records, which embed ';' and '=' freely —
   // it is always the LAST field, split off verbatim before the k=v parse.
-  const std::string marker = ";body=";
+  const std::string_view marker = ";body=";
   const auto body_at = payload.find(marker);
   if (body_at == std::string::npos) return std::nullopt;
-  const auto fields = parse_fields(payload.substr(0, body_at));
-  std::uint64_t kind = 0;
-  std::uint64_t from = 0;
-  ReplicationFrame m;
-  if (!get_u64(fields, "k", kind) || !get_u64(fields, "from", from) ||
-      !get_u64(fields, "ep", m.epoch) || !get_u64(fields, "seq", m.seq) ||
-      !get_u64(fields, "dg", m.digest) ||
+  KvFields f{std::string_view{payload}.substr(0, body_at)};
+  const std::uint64_t kind = f.u64("k");
+  ReplicationFrame m{static_cast<ReplicationKind>(kind), f.u32("from"),
+                     f.u64("ep"), f.u64("seq"), f.u64("dg"), {}};
+  if (!f.ok() ||
       kind > static_cast<std::uint64_t>(ReplicationKind::kSnapshotAck)) {
     return std::nullopt;
   }
-  m.kind = static_cast<ReplicationKind>(kind);
-  m.from = static_cast<std::uint32_t>(from);
-  const std::string body = payload.substr(body_at + marker.size());
-  std::istringstream body_in{body};
+  std::istringstream body_in{payload.substr(body_at + marker.size())};
   std::string record;
   while (std::getline(body_in, record)) {
     if (record.empty()) return std::nullopt;

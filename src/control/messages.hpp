@@ -7,12 +7,40 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "dataplane/flow_table.hpp"
 
 namespace switchboard::control {
+
+/// The one reader of the "k1=v1;k2=v2;..." grammar, shared by every bus
+/// message parser and the journal codec.  Pairs without '=' are skipped; a
+/// repeated key reads its last value.  Typed getters read required fields
+/// strictly (decimal digits only for integers): a missing or malformed one
+/// reads as 0 and clears ok() for good, so a parser reads every field and
+/// checks once.  Views point into `payload`, which must outlive the reader.
+class KvFields {
+ public:
+  explicit KvFields(std::string_view payload);
+
+  /// The raw value, nullopt when absent (never clears ok()).
+  [[nodiscard]] std::optional<std::string_view> text(
+      std::string_view key) const;
+  [[nodiscard]] std::uint64_t u64(std::string_view key);
+  /// Rejects values above UINT32_MAX instead of narrowing them.
+  [[nodiscard]] std::uint32_t u32(std::string_view key);
+  [[nodiscard]] double f64(std::string_view key);
+  /// A ','-separated u32 list; empty items are skipped.
+  [[nodiscard]] std::vector<std::uint32_t> u32_list(std::string_view key);
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  std::vector<std::pair<std::string_view, std::string_view>> fields_;
+  bool ok_{true};
+};
 
 /// Published on .../site_<s>_instances by a VNF controller: one VNF
 /// instance allocated to a chain at a site, with its LB weight.

@@ -11,8 +11,8 @@
 namespace switchboard::control {
 namespace {
 
-// FNV-1a over every applied record (terminated like the journal frames it
-// mirrors) — the cheap, order-sensitive convergence fingerprint each
+// FNV-1a over every applied record (terminated like the journal lines it
+// folds) — the cheap, order-sensitive convergence fingerprint each
 // replica maintains and acks carry for cross-checking.
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -35,86 +35,7 @@ std::uint64_t fold_records(std::uint64_t digest,
   return digest;
 }
 
-/// Mirrors the journal-record "k=v;" grammar (global_switchboard.cpp).
-std::map<std::string, std::string> record_fields(const std::string& record) {
-  std::map<std::string, std::string> fields;
-  std::istringstream in{record};
-  std::string pair;
-  while (std::getline(in, pair, ';')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    fields[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-  return fields;
-}
-
-std::uint64_t mirror_u64(const std::map<std::string, std::string>& fields,
-                         const std::string& key) {
-  const auto it = fields.find(key);
-  SWB_CHECK(it != fields.end())
-      << "replicated record missing field " << key;
-  return std::stoull(it->second);
-}
-
 }  // namespace
-
-void ReplicaMirror::apply(const std::string& record) {
-  const auto fields = record_fields(record);
-  const auto type_it = fields.find("t");
-  SWB_CHECK(type_it != fields.end()) << "replicated record with no type";
-  const std::string& type = type_it->second;
-  if (type == "epoch") {
-    const std::uint64_t n = mirror_u64(fields, "n");
-    SWB_CHECK_GE(n, epoch) << "replicated epoch went backwards";
-    epoch = n;
-  } else if (type == "nri") {
-    next_route_id = static_cast<std::uint32_t>(mirror_u64(fields, "n"));
-  } else if (type == "chain") {
-    chains.insert(static_cast<std::uint32_t>(mirror_u64(fields, "id")));
-  } else if (type == "begin") {
-    inflight[{static_cast<std::uint32_t>(mirror_u64(fields, "chain")),
-              static_cast<std::uint32_t>(mirror_u64(fields, "route"))}] =
-        false;
-  } else if (type == "prep" || type == "commit" || type == "abort" ||
-             type == "retire") {
-    const std::pair<std::uint32_t, std::uint32_t> key{
-        static_cast<std::uint32_t>(mirror_u64(fields, "chain")),
-        static_cast<std::uint32_t>(mirror_u64(fields, "route"))};
-    if (type == "prep") {
-      inflight[key] = true;
-    } else if (type == "commit") {
-      inflight.erase(key);
-      committed.insert(key);
-    } else if (type == "abort") {
-      inflight.erase(key);
-    } else {
-      committed.erase(key);
-    }
-  } else if (type == "pooldown") {
-    dead_pools.insert({static_cast<std::uint32_t>(mirror_u64(fields, "vnf")),
-                       static_cast<std::uint32_t>(mirror_u64(fields,
-                                                             "site"))});
-  } else if (type == "poolup") {
-    dead_pools.erase({static_cast<std::uint32_t>(mirror_u64(fields, "vnf")),
-                      static_cast<std::uint32_t>(mirror_u64(fields,
-                                                            "site"))});
-  }
-  // Unknown types are tolerated: a newer leader may journal records this
-  // mirror build does not track yet.
-  ++applied_records;
-}
-
-void ReplicaMirror::check_invariants() const {
-  for (const auto& [key, prepared] : inflight) {
-    SWB_CHECK(committed.count(key) == 0)
-        << "round (" << key.first << "," << key.second
-        << ") both in-flight and committed in a replica mirror";
-  }
-  for (const auto& [chain, route] : committed) {
-    SWB_CHECK(chains.count(chain) != 0)
-        << "committed route " << route << " of unknown chain " << chain;
-  }
-}
 
 ReplicaGroup::ReplicaGroup(ControlContext& context, GlobalSwitchboard& global,
                            sim::DurableStore& store,
@@ -171,25 +92,25 @@ void ReplicaGroup::start() {
   // Every replica pair gets its stream + ack subscription up front (role
   // changes at failover never need new subscriptions, so retained-frame
   // replays to late subscribers cannot happen).
+  // A frame that does not parse is dropped and counted.
+  const auto deliver = [this](std::uint32_t to, auto handler) {
+    return [this, to, handler](const bus::Message& message) {
+      const auto frame = parse_replication(message.payload);
+      if (frame) return (this->*handler)(to, *frame);
+      const swb::MutexLock lock{mutex_};
+      ++malformed_records_;
+    };
+  };
   const auto n = static_cast<std::uint32_t>(sites_.size());
   for (std::uint32_t from = 0; from < n; ++from) {
     for (std::uint32_t to = 0; to < n; ++to) {
       if (from == to) continue;
       context_.bus.subscribe(
-          sites_[to],
-          bus::replication_stream_topic(from, to, sites_[from]),
-          [this, to](const bus::Message& message) {
-            if (const auto frame = parse_replication(message.payload)) {
-              on_stream_frame(to, *frame);
-            }
-          });
+          sites_[to], bus::replication_stream_topic(from, to, sites_[from]),
+          deliver(to, &ReplicaGroup::on_stream_frame));
       context_.bus.subscribe(
           sites_[to], bus::replication_ack_topic(from, to, sites_[from]),
-          [this, to](const bus::Message& message) {
-            if (const auto frame = parse_replication(message.payload)) {
-              on_ack_frame(to, *frame);
-            }
-          });
+          deliver(to, &ReplicaGroup::on_ack_frame));
     }
   }
 
@@ -223,42 +144,42 @@ void ReplicaGroup::stop() {
 }
 
 void ReplicaGroup::bootstrap_install() {
-  const std::vector<std::string> base = global_.snapshot_state();
+  const std::vector<std::string> base = global_.state().encode_snapshot();
   const std::uint64_t digest = fold_records(kFnvOffset, base);
   const std::uint64_t epoch = global_.epoch();
+  Result<ControllerState> standby = ControllerState::replay(base);
+  SWB_CHECK(standby.ok()) << standby.error().to_string();
   const swb::MutexLock lock{mutex_};
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     Replica& replica = replicas_[r];
     // Replica 0's journal already holds the base snapshot (it is the
-    // leader's own journal); followers get a verbatim copy.
-    if (r != 0) replica.journal->write_snapshot(base);
-    replica.mirror = ReplicaMirror{};
-    for (const std::string& record : base) replica.mirror.apply(record);
+    // leader's own journal, and its state is the coordinator's);
+    // followers get a verbatim copy.
+    if (r != 0) {
+      replica.journal->write_snapshot(base);
+      replica.state = standby.value();
+    }
+    replica.applied_records = base.size();
     replica.digest = digest;
-    replica.applied_seq = 0;
     replica.epoch_seen = epoch;
   }
 }
 
 void ReplicaGroup::on_leader_append(const std::string& record) {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
     Replica& self = replicas_[leader_];
-    self.mirror.apply(record);
+    ++self.applied_records;
     self.digest = fold_record(self.digest, record);
     if (promoting_) return;   // epoch bump mid-promotion: install follows
     ++stream_seq_;
     self.applied_seq = stream_seq_;
     self.epoch_seen = global_.epoch();
-    ReplicationFrame frame;
-    frame.kind = ReplicationKind::kRecord;
-    frame.from = leader_;
-    frame.epoch = global_.epoch();
-    frame.seq = stream_seq_;
-    frame.digest = self.digest;
-    frame.records.push_back(record);
-    const std::string payload = serialize(frame);
+    const std::string payload =
+        serialize(ReplicationFrame{ReplicationKind::kRecord, leader_,
+                                   global_.epoch(), stream_seq_, self.digest,
+                                   {record}});
     for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
       if (f == leader_ || !replicas_[f].up) continue;
       ++records_streamed_;
@@ -267,9 +188,7 @@ void ReplicaGroup::on_leader_append(const std::string& record) {
           payload);
     }
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::on_quorum_gate(std::function<void()> resume) {
@@ -290,7 +209,7 @@ void ReplicaGroup::on_quorum_gate(std::function<void()> resume) {
 }
 
 void ReplicaGroup::on_compaction_wanted() {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   bool compact_now = false;
   {
     const swb::MutexLock lock{mutex_};
@@ -309,40 +228,29 @@ void ReplicaGroup::on_compaction_wanted() {
       install_pending_ = true;
       install_seq_ = stream_seq_;
       install_acks_.clear();
-      for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
-        if (f == leader_ || !replicas_[f].up) continue;
-        push_install_to(f);
-      }
-      // push_install_to queued the frames; drain them below.
-      outbox.swap(install_outbox_);
+      outbox = push_installs();
     }
   }
   if (compact_now) global_.compact_journal_now();
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::push_install_to(std::uint32_t to) {
   // Snapshot of the leader's state *now*: followers installing it land at
   // stream position stream_seq_ with the leader's current digest.
-  ReplicationFrame frame;
-  frame.kind = ReplicationKind::kSnapshotInstall;
-  frame.from = leader_;
-  frame.epoch = global_.epoch();
-  frame.seq = stream_seq_;
-  frame.digest = replicas_[leader_].digest;
-  frame.records = global_.snapshot_state();
   ++installs_sent_;
   replicas_[to].stalled_beats = 0;
   install_outbox_.emplace_back(
       bus::replication_stream_topic(leader_, to, sites_[leader_]),
-      serialize(frame));
+      serialize(ReplicationFrame{
+          ReplicationKind::kSnapshotInstall, leader_, global_.epoch(),
+          stream_seq_, replicas_[leader_].digest,
+          global_.state().encode_snapshot()}));
 }
 
 void ReplicaGroup::on_stream_frame(std::uint32_t to,
                                    const ReplicationFrame& frame) {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
     Replica& replica = replicas_[to];
@@ -352,11 +260,16 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
     if (frame.epoch < replica.epoch_seen) return;   // zombie-leader frame
 
     if (frame.kind == ReplicationKind::kSnapshotInstall) {
-      replica.journal->write_snapshot(frame.records);
-      replica.mirror = ReplicaMirror{};
-      for (const std::string& record : frame.records) {
-        replica.mirror.apply(record);
+      // An install that does not replay is dropped unacked and counted.
+      Result<ControllerState> installed =
+          ControllerState::replay(frame.records);
+      if (!installed.ok()) {
+        ++malformed_records_;
+        return;
       }
+      replica.journal->write_snapshot(frame.records);
+      replica.state = std::move(installed).value();
+      replica.applied_records = frame.records.size();
       replica.digest = frame.digest;
       replica.applied_seq = frame.seq;
       replica.epoch_seen = frame.epoch;
@@ -366,22 +279,26 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
                (entry.first.first == frame.epoch &&
                 entry.first.second <= frame.seq);
       });
-      ReplicationFrame ack;
-      ack.kind = ReplicationKind::kSnapshotAck;
-      ack.from = to;
-      ack.epoch = frame.epoch;
-      ack.seq = frame.seq;
-      ack.digest = replica.digest;
       outbox.emplace_back(
           bus::replication_ack_topic(to, frame.from, sites_[to]),
-          serialize(ack));
+          serialize(ReplicationFrame{ReplicationKind::kSnapshotAck, to,
+                                     frame.epoch, frame.seq, replica.digest,
+                                     {}}));
     } else if (frame.kind == ReplicationKind::kRecord) {
-      SWB_CHECK_EQ(frame.records.size(), 1u) << "record frame framing";
+      // A record that does not decode is dropped unapplied and unacked.
+      Result<JournalRecord> record =
+          frame.records.size() == 1 ? decode(frame.records.front())
+                                    : Error{ErrorCode::kInvalidArgument, ""};
+      if (!record.ok()) {
+        ++malformed_records_;
+        return;
+      }
       if (frame.epoch == replica.epoch_seen &&
           frame.seq <= replica.applied_seq) {
         // Duplicate (retransmit raced its ack) — re-ack, apply nothing.
       } else {
-        replica.reorder[{frame.epoch, frame.seq}] = frame.records.front();
+        replica.reorder[{frame.epoch, frame.seq}] = {
+            frame.records.front(), std::move(record).value()};
       }
       // Apply in order: records for a future epoch stay buffered until
       // that epoch's snapshot install arrives and moves epoch_seen.
@@ -390,26 +307,28 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
            it != replica.reorder.end();
            it = replica.reorder.find(
                {replica.epoch_seen, replica.applied_seq + 1})) {
-        replica.journal->append(it->second);
-        replica.mirror.apply(it->second);
-        replica.digest = fold_record(replica.digest, it->second);
+        const auto& [line, decoded] = it->second;
+        if (!replica.state.apply(decoded).ok()) {
+          // Never acked: the follower stalls at the gap until the
+          // leader's repair install re-syncs it.
+          ++malformed_records_;
+          replica.reorder.erase(it);
+          break;
+        }
+        replica.journal->append(line);
+        replica.digest = fold_record(replica.digest, line);
+        ++replica.applied_records;
         ++replica.applied_seq;
         replica.reorder.erase(it);
       }
-      ReplicationFrame ack;
-      ack.kind = ReplicationKind::kAck;
-      ack.from = to;
-      ack.epoch = replica.epoch_seen;
-      ack.seq = replica.applied_seq;
-      ack.digest = replica.digest;
       outbox.emplace_back(
           bus::replication_ack_topic(to, frame.from, sites_[to]),
-          serialize(ack));
+          serialize(ReplicationFrame{ReplicationKind::kAck, to,
+                                     replica.epoch_seen, replica.applied_seq,
+                                     replica.digest, {}}));
     }
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::on_ack_frame(std::uint32_t to,
@@ -478,7 +397,7 @@ std::vector<std::function<void()>> ReplicaGroup::collect_released_barriers()
 }
 
 void ReplicaGroup::beat() {
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
     if (!beating_) return;
@@ -507,17 +426,14 @@ void ReplicaGroup::beat() {
           push_install_to(f);
         }
       }
-      outbox.insert(outbox.end(),
-                    std::make_move_iterator(install_outbox_.begin()),
-                    std::make_move_iterator(install_outbox_.end()));
-      install_outbox_.clear();
+      for (auto& frame : std::exchange(install_outbox_, {})) {
+        outbox.push_back(std::move(frame));
+      }
     }
     beat_event_ = context_.sim.schedule(config_.detector.period,
                                        [this] { beat(); });
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::on_replica_suspected(std::uint32_t replica) {
@@ -539,6 +455,7 @@ void ReplicaGroup::on_replica_suspected(std::uint32_t replica) {
 void ReplicaGroup::elect_and_promote() {
   std::uint32_t winner = 0;
   StateJournal* winner_journal = nullptr;
+  ControllerState adopted;
   {
     const swb::MutexLock lock{mutex_};
     if (replicas_[leader_].up) return;   // raced with a restore
@@ -560,55 +477,34 @@ void ReplicaGroup::elect_and_promote() {
       SB_LOG(kWarn) << "replication: leader dead and no live candidate";
       return;
     }
-    // Barriers raised by the dead incarnation can never be satisfied in
-    // its epoch; their resumes are epoch-guarded no-ops anyway.
-    barriers_dropped_ += pending_.size();
-    pending_.clear();
-    install_pending_ = false;
-    install_outbox_.clear();
+    drop_leader_work();
     leader_ = winner;
     promoting_ = true;
     winner_journal = replicas_[winner].journal.get();
+    adopted = std::move(replicas_[winner].state);
+    replicas_[winner].state = ControllerState{};
     SB_LOG(kInfo) << "replication: electing replica " << winner
                   << " (applied " << replicas_[winner].applied_seq
                   << " records)";
   }
 
-  // Hot promotion: rebuild the coordinator from the winner's journal with
-  // zero replay cost (the standby already applied everything), bumping
-  // the epoch so the dead incarnation's continuations and frames fence.
-  global_.warm_failover(winner_journal);
+  // Hot promotion: the coordinator adopts the standby's state (it applied
+  // every record as it arrived) and bumps the epoch so the dead
+  // incarnation's continuations and frames fence.
+  global_.warm_failover(winner_journal, std::move(adopted));
 
-  std::vector<std::pair<bus::Topic, std::string>> outbox;
+  Outbox outbox;
   {
     const swb::MutexLock lock{mutex_};
-    promoting_ = false;
-    stream_seq_ = 0;
-    Replica& lead = replicas_[winner];
-    lead.applied_seq = 0;
-    lead.epoch_seen = global_.epoch();
-    lead.reorder.clear();
-    for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
-      replicas_[r].acked = 0;
-      replicas_[r].stalled_beats = 0;
-    }
     ++elections_;
     std::ostringstream entry;
     entry << "t=" << context_.sim.now() << ";winner=" << winner
           << ";epoch=" << global_.epoch()
-          << ";applied=" << lead.mirror.applied_records << "\n";
+          << ";applied=" << replicas_[winner].applied_records << "\n";
     election_log_ += entry.str();
-    // The new epoch starts every follower from a fresh install (seq 0):
-    // whatever the old leader half-streamed becomes irrelevant history.
-    for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
-      if (f == winner || !replicas_[f].up) continue;
-      push_install_to(f);
-    }
-    outbox.swap(install_outbox_);
+    outbox = restart_stream();
   }
-  for (auto& [topic, payload] : outbox) {
-    context_.bus.publish(topic, std::move(payload));
-  }
+  publish(std::move(outbox));
 }
 
 void ReplicaGroup::crash_replica(std::uint32_t replica) {
@@ -619,13 +515,9 @@ void ReplicaGroup::crash_replica(std::uint32_t replica) {
     if (!replicas_[replica].up) return;
     replicas_[replica].up = false;
     replicas_[replica].reorder.clear();
+    replicas_[replica].state = ControllerState{};   // amnesia
     was_leader = replica == leader_;
-    if (was_leader) {
-      barriers_dropped_ += pending_.size();
-      pending_.clear();
-      install_pending_ = false;
-      install_outbox_.clear();
-    }
+    if (was_leader) drop_leader_work();
   }
   // A dead leader takes the coordinator down with it; the election waits
   // for the heartbeat silence to cross the detection threshold.
@@ -642,7 +534,19 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
     replicas_[replica].up = true;
     replicas_[replica].stalled_beats = 0;
     cold = replica == leader_;
-    if (cold) promoting_ = true;
+    if (cold) {
+      promoting_ = true;
+    } else {
+      // Amnesia: a follower rebuilds its state from its own durable
+      // journal through the same replay a cold start runs.
+      Replica& follower = replicas_[replica];
+      const std::vector<std::string> records = follower.journal->records();
+      Result<ControllerState> rebuilt = ControllerState::replay(records);
+      SWB_CHECK(rebuilt.ok()) << "replica " << replica << " journal: "
+                              << rebuilt.error().to_string();
+      follower.state = std::move(rebuilt).value();
+      follower.applied_records = records.size();
+    }
     leader_live = replicas_[leader_].up && leader_ != replica;
   }
 
@@ -651,37 +555,29 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
     // legacy §13 path — full journal replay, replay cost charged.  This
     // is exactly the cold/hot contrast the failover bench measures.
     global_.cold_start();
-    std::vector<std::pair<bus::Topic, std::string>> outbox;
+    Outbox outbox;
     {
       const swb::MutexLock lock{mutex_};
-      promoting_ = false;
       ++cold_restarts_;
-      rebuild_leader_mirror_from_journal();
-      stream_seq_ = 0;
-      for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
-        replicas_[r].acked = 0;
-        replicas_[r].stalled_beats = 0;
-      }
-      for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
-        if (f == leader_ || !replicas_[f].up) continue;
-        push_install_to(f);
-      }
-      outbox.swap(install_outbox_);
+      // The leader's digest restarts from its replayed journal.
+      Replica& lead = replicas_[leader_];
+      const std::vector<std::string> records = lead.journal->records();
+      lead.digest = fold_records(kFnvOffset, records);
+      lead.applied_records = records.size();
+      outbox = restart_stream();
     }
-    for (auto& [topic, payload] : outbox) {
-      context_.bus.publish(topic, std::move(payload));
-    }
+    publish(std::move(outbox));
     return;
   }
 
-  // A restored follower lost its volatile mirror; the live leader
-  // re-syncs it with a fresh snapshot install.  With the leader also
-  // dead, the next election or cold restart installs instead.
+  // The live leader re-syncs the restored follower with a fresh snapshot
+  // install.  With the leader also dead, the follower stands on its
+  // replayed journal: the next election may promote it, or a cold
+  // restart installs instead.
   if (leader_live && global_.up()) {
-    std::vector<std::pair<bus::Topic, std::string>> outbox;
+    Outbox outbox;
     {
       const swb::MutexLock lock{mutex_};
-      replicas_[replica].mirror = ReplicaMirror{};
       replicas_[replica].digest = kFnvOffset;
       replicas_[replica].applied_seq = 0;
       replicas_[replica].acked = 0;
@@ -689,27 +585,46 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
       push_install_to(replica);
       outbox.swap(install_outbox_);
     }
-    for (auto& [topic, payload] : outbox) {
-      context_.bus.publish(topic, std::move(payload));
-    }
+    publish(std::move(outbox));
   }
 }
 
-void ReplicaGroup::rebuild_leader_mirror_from_journal() {
+void ReplicaGroup::publish(Outbox outbox) {
+  for (auto& [topic, payload] : outbox) {
+    context_.bus.publish(topic, std::move(payload));
+  }
+}
+
+void ReplicaGroup::drop_leader_work() {
+  // Barriers raised by the dead incarnation can never be satisfied in its
+  // epoch; their resumes are epoch-guarded no-ops anyway.
+  barriers_dropped_ += pending_.size();
+  pending_.clear();
+  install_pending_ = false;
+  install_outbox_.clear();
+}
+
+ReplicaGroup::Outbox ReplicaGroup::restart_stream() {
+  // The new incarnation starts every follower from a fresh install (seq
+  // 0): whatever the old leader half-streamed becomes irrelevant history.
+  promoting_ = false;
+  stream_seq_ = 0;
   Replica& lead = replicas_[leader_];
-  lead.mirror = ReplicaMirror{};
-  lead.digest = kFnvOffset;
-  for (const std::string& record : lead.journal->snapshot_records()) {
-    lead.mirror.apply(record);
-    lead.digest = fold_record(lead.digest, record);
-  }
-  for (const std::string& record : lead.journal->log_records()) {
-    lead.mirror.apply(record);
-    lead.digest = fold_record(lead.digest, record);
-  }
   lead.applied_seq = 0;
   lead.epoch_seen = global_.epoch();
   lead.reorder.clear();
+  for (Replica& replica : replicas_) {
+    replica.acked = 0;
+    replica.stalled_beats = 0;
+  }
+  return push_installs();
+}
+
+ReplicaGroup::Outbox ReplicaGroup::push_installs() {
+  for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
+    if (f != leader_ && replicas_[f].up) push_install_to(f);
+  }
+  return std::exchange(install_outbox_, {});
 }
 
 double ReplicaGroup::mean_quorum_ack_ms() const {
@@ -725,8 +640,9 @@ void ReplicaGroup::verify_convergence() const {
   const Replica& lead = replicas_[leader_];
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     const Replica& replica = replicas_[r];
-    replica.mirror.check_invariants();
-    if (r == leader_ || !replica.up) continue;
+    if (r == leader_) continue;   // the coordinator audits its own state
+    replica.state.check_invariants();
+    if (!replica.up) continue;
     if (replica.epoch_seen != lead.epoch_seen ||
         replica.applied_seq != stream_seq_) {
       continue;   // not caught up — nothing to compare yet
@@ -753,8 +669,8 @@ void ReplicaGroup::check_invariants() const {
   }
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     const Replica& replica = replicas_[r];
-    replica.mirror.check_invariants();
     if (r != leader_) {
+      replica.state.check_invariants();
       SWB_CHECK_LE(replica.acked, stream_seq_)
           << "follower " << r << " acked past the stream head";
     }

@@ -3,31 +3,25 @@
 //
 // N controller incarnations ("replicas") each own a StateJournal over the
 // deployment's DurableStore.  The leader — whichever replica the singleton
-// GlobalSwitchboard currently embodies — streams every journal append to
-// the followers over the reliable /ctl/repl/<from>_<to> topics; followers
-// append each record to their own journal, apply it to a live in-memory
-// mirror (hot standby), fold it into an FNV-1a applied-record digest, and
-// ack their cumulative durable position.  The GlobalSwitchboard's quorum
-// gate holds every externally visible acknowledgment (2PC prep -> commit,
-// commit -> activation, pool-transition drains) until a quorum of replicas
-// has the triggering record durable.  Snapshot compaction is replicated as
-// a snapshot-install stream: the leader truncates its log only after a
-// quorum of followers installed the snapshot.
+// GlobalSwitchboard currently embodies — streams every journal append over
+// the reliable /ctl/repl/<from>_<to> topics; each follower decodes the
+// record, applies it to its own ControllerState (the hot standby), appends
+// it to its journal, folds it into an FNV-1a digest and acks its durable
+// position (a record that does not decode or apply is dropped unacked and
+// counted).  The coordinator's quorum gate holds every externally visible
+// acknowledgment until a quorum has the triggering record durable, and
+// compaction is replicated as a snapshot install that must reach a quorum
+// before the leader truncates its log.
 //
-// Liveness rides the same heartbeat machinery as site health: every live
-// replica beats on the transient /health/ctl/replica_<r> topic and a
-// FailureDetector sweeps them.  When the *leader* falls silent AND its
-// process is actually dead (a pure partition is counted as a false
-// suspicion, never an election — the CP choice: consistency over
-// partition-tolerant availability), a deterministic election promotes the
-// freshest live replica — max (epoch, applied records, replica id) — via
-// GlobalSwitchboard::warm_failover(): no journal replay is charged, the
-// epoch bumps so zombie-leader continuations and stale frames fence, the
-// new leader pushes a fresh snapshot install to the surviving followers,
-// and the §13 resolution sweep re-drives prepared 2PC and re-publishes
-// routes.  A leader that crashes and restores before detection takes the
-// legacy cold_start() path instead — the replay-cost contrast the
-// bench_fig13_recovery `failover` series measures.
+// Replicas beat on /health/ctl/replica_<r>; a FailureDetector sweeps them.
+// A silent leader whose process is dead (a partition is only a counted
+// false suspicion — the CP choice) triggers a deterministic election of
+// the freshest live replica, max (epoch, applied seq, id), whose state
+// GlobalSwitchboard::warm_failover() adopts: nothing is replayed, the
+// epoch bump fences the old incarnation, followers get fresh installs and
+// the §13 resolution sweep runs.  A leader restored before detection takes
+// the cold_start() replay path — the contrast bench_fig13_recovery's
+// `failover` series measures.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +37,7 @@
 #include "bus/topic.hpp"
 #include "common/thread_annotations.hpp"
 #include "control/context.hpp"
+#include "control/controller_state.hpp"
 #include "control/failure_detector.hpp"
 #include "control/global_switchboard.hpp"
 #include "control/messages.hpp"
@@ -69,27 +64,6 @@ struct ReplicationConfig {
   /// before the leader re-syncs it with a snapshot install (heals gaps
   /// left by exhausted retransmit budgets after a partition).
   std::uint32_t repair_stall_beats{3};
-};
-
-/// A follower's live in-memory mirror of the journaled controller state —
-/// enough to audit convergence; the full state is rebuilt from the
-/// journal at promotion time.
-struct ReplicaMirror {
-  std::uint64_t epoch{0};
-  std::uint32_t next_route_id{0};
-  std::set<std::uint32_t> chains;
-  /// Committed (chain, route) pairs not yet retired.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> committed;
-  /// In-flight 2PC rounds -> prepared flag.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, bool> inflight;
-  std::set<std::pair<std::uint32_t, std::uint32_t>> dead_pools;
-  std::uint64_t applied_records{0};
-
-  /// Applies one journal record (unknown record types are ignored).
-  void apply(const std::string& record);
-  /// Aborts via SWB_CHECK on violation: no pair both committed and
-  /// in-flight, committed routes belong to known chains.
-  void check_invariants() const;
 };
 
 class ReplicaGroup {
@@ -126,9 +100,11 @@ class ReplicaGroup {
     const swb::MutexLock lock{mutex_};
     return *replicas_.at(replica).journal;
   }
-  [[nodiscard]] const ReplicaMirror& mirror(std::uint32_t replica) const {
+  /// The replica's journaled state: the coordinator's own for the
+  /// leader, the hot standby for a follower (empty while it is down).
+  [[nodiscard]] const ControllerState& state(std::uint32_t replica) const {
     const swb::MutexLock lock{mutex_};
-    return replicas_.at(replica).mirror;
+    return replica == leader_ ? global_.state() : replicas_.at(replica).state;
   }
   [[nodiscard]] std::uint64_t digest(std::uint32_t replica) const {
     const swb::MutexLock lock{mutex_};
@@ -151,8 +127,9 @@ class ReplicaGroup {
   void crash_replica(std::uint32_t replica);
   /// Crash-with-amnesia restore.  A restored leader (no election ran,
   /// or none was possible) takes the legacy cold_start() path — journal
-  /// replay charged; a restored follower is re-synced by the live leader
-  /// with a fresh snapshot install.
+  /// replay charged; a restored follower rebuilds its state from its own
+  /// journal and, when a leader is live, is re-synced with a fresh
+  /// snapshot install.
   void restore_replica(std::uint32_t replica);
 
   // --- observability -------------------------------------------------------
@@ -192,6 +169,12 @@ class ReplicaGroup {
     const swb::MutexLock lock{mutex_};
     return barriers_dropped_;
   }
+  /// Replication frames dropped unapplied and unacked because a frame or
+  /// one of its records did not parse, decode or apply.
+  [[nodiscard]] std::uint64_t malformed_records() const {
+    const swb::MutexLock lock{mutex_};
+    return malformed_records_;
+  }
   /// Mean barrier wait (journal append -> quorum durable), milliseconds.
   [[nodiscard]] double mean_quorum_ack_ms() const;
   /// Deterministic election trace: "t=<us>;winner=<r>;epoch=<e>\n" lines —
@@ -203,7 +186,7 @@ class ReplicaGroup {
 
   /// Divergence verifier for quiescent barriers and post-failover checks:
   /// every live, caught-up replica's digest must equal the leader's, and
-  /// every mirror audits clean.  Aborts via SWB_CHECK on violation.
+  /// every follower state audits clean.  Aborts via SWB_CHECK on violation.
   void verify_convergence() const;
   /// Audits group state (aborts via SWB_CHECK): leader is live or awaiting
   /// election, quorum within bounds, acked positions never ahead of the
@@ -213,15 +196,22 @@ class ReplicaGroup {
  private:
   struct Replica {
     std::unique_ptr<StateJournal> journal;
-    ReplicaMirror mirror;
+    /// Follower hot standby (the leader's state lives in the coordinator).
+    ControllerState state;
+    /// Records applied since the last reset (bootstrap, install, restore)
+    /// — the election trace's `applied=` figure.
+    std::uint64_t applied_records{0};
     std::uint64_t digest{0};
     /// Highest contiguously applied stream seq (follower side).
     std::uint64_t applied_seq{0};
     /// Epoch this replica last installed/streamed under.
     std::uint64_t epoch_seen{0};
     bool up{true};
-    /// Out-of-order frames awaiting the gap: (epoch, seq) -> record.
-    std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> reorder;
+    /// Out-of-order records awaiting the gap: (epoch, seq) -> the line
+    /// and its decoded form.
+    std::map<std::pair<std::uint64_t, std::uint64_t>,
+             std::pair<std::string, JournalRecord>>
+        reorder;
     /// Leader-side view: highest seq this follower acked as durable.
     std::uint64_t acked{0};
     /// Leader-side repair: consecutive beat checks the follower's ack
@@ -235,6 +225,8 @@ class ReplicaGroup {
     sim::SimTime created{0};
     std::function<void()> resume;
   };
+
+  using Outbox = std::vector<std::pair<bus::Topic, std::string>>;
 
   // Hook bodies (installed on the GlobalSwitchboard by start()).
   void on_leader_append(const std::string& record);
@@ -250,10 +242,18 @@ class ReplicaGroup {
   void elect_and_promote() SWB_EXCLUDES(mutex_);
   /// Streams a full snapshot install to `to` from the current leader.
   void push_install_to(std::uint32_t to) SWB_REQUIRES(mutex_);
-  /// Installs `records` into every replica's journal + mirror locally
-  /// (bootstrap only — no messaging).
+  /// Installs the base snapshot into every replica's journal + state
+  /// locally (bootstrap only — no messaging).
   void bootstrap_install() SWB_EXCLUDES(mutex_);
-  void rebuild_leader_mirror_from_journal() SWB_REQUIRES(mutex_);
+  /// A new leader incarnation: the stream restarts at seq 0 and every
+  /// live follower is queued a fresh snapshot install (returned).
+  [[nodiscard]] Outbox restart_stream() SWB_REQUIRES(mutex_);
+  /// Queues a snapshot install to every live follower (returned).
+  [[nodiscard]] Outbox push_installs() SWB_REQUIRES(mutex_);
+  /// Drops the dead leader's pending barriers and install.
+  void drop_leader_work() SWB_REQUIRES(mutex_);
+  /// Publishes frames queued under the lock (never publish under it).
+  void publish(Outbox outbox) SWB_EXCLUDES(mutex_);
   [[nodiscard]] bool quorum_satisfied(std::uint64_t seq) const
       SWB_REQUIRES(mutex_);
   /// Pops every satisfied barrier (in order) and returns their resumes to
@@ -269,7 +269,7 @@ class ReplicaGroup {
   std::uint32_t quorum_{0};
   std::unique_ptr<FailureDetector> detector_;
 
-  /// One lock covers group state, per-replica mirrors, and counters.
+  /// One lock covers group state, per-replica states, and counters.
   /// Contract: bus publishes, GlobalSwitchboard calls (warm_failover,
   /// cold_start, compact_journal_now), and barrier resumes NEVER run
   /// under it — handlers mutate state under the lock, collect the actions,
@@ -289,8 +289,7 @@ class ReplicaGroup {
   std::set<std::uint32_t> install_acks_ SWB_GUARDED_BY(mutex_);
   /// Frames queued by push_install_to() under the lock, published by the
   /// caller after release (the no-publish-under-lock contract).
-  std::vector<std::pair<bus::Topic, std::string>> install_outbox_
-      SWB_GUARDED_BY(mutex_);
+  Outbox install_outbox_ SWB_GUARDED_BY(mutex_);
   sim::EventHandle beat_event_ SWB_GUARDED_BY(mutex_){};
   bool beating_ SWB_GUARDED_BY(mutex_){false};
 
@@ -303,6 +302,7 @@ class ReplicaGroup {
   std::uint64_t divergences_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t barriers_released_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t barriers_dropped_ SWB_GUARDED_BY(mutex_){0};
+  std::uint64_t malformed_records_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t barrier_wait_us_total_ SWB_GUARDED_BY(mutex_){0};
   std::string election_log_ SWB_GUARDED_BY(mutex_);
 };

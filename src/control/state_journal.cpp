@@ -91,18 +91,20 @@ std::vector<std::string> StateJournal::log_records() const {
   return split_lines(store_.read(log_blob()));
 }
 
+std::vector<std::string> StateJournal::records() const {
+  std::vector<std::string> all = snapshot_records();
+  for (std::string& record : log_records()) all.push_back(std::move(record));
+  return all;
+}
+
 sim::Duration StateJournal::replay_cost() const {
-  const std::size_t records =
-      snapshot_records().size() + log_records().size();
-  return static_cast<sim::Duration>(records) * config_.replay_cost_per_record;
+  return static_cast<sim::Duration>(records().size()) *
+         config_.replay_cost_per_record;
 }
 
 void StateJournal::check_invariants() const {
-  for (const std::string& record : snapshot_records()) {
-    SWB_CHECK(!record.empty()) << "empty snapshot record";
-  }
-  for (const std::string& record : log_records()) {
-    SWB_CHECK(!record.empty()) << "empty log record";
+  for (const std::string& record : records()) {
+    SWB_CHECK(!record.empty()) << "empty journal record";
   }
   const swb::MutexLock lock{mutex_};
   SWB_CHECK_LE(appends_since_snapshot_, appends_);

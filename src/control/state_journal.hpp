@@ -56,6 +56,8 @@ class StateJournal {
 
   [[nodiscard]] std::vector<std::string> snapshot_records() const;
   [[nodiscard]] std::vector<std::string> log_records() const;
+  /// Every persisted record in replay order: snapshot, then log.
+  [[nodiscard]] std::vector<std::string> records() const;
 
   /// Simulated cost of replaying everything currently persisted.
   [[nodiscard]] sim::Duration replay_cost() const;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "control/messages.hpp"
 #include "core/middleware.hpp"
@@ -63,6 +65,66 @@ TEST(Messages, ParseRejectsGarbage) {
   EXPECT_FALSE(parse_instance("not a message").has_value());
   EXPECT_FALSE(parse_route("type=route;chain=x").has_value());
   EXPECT_FALSE(parse_forwarder("").has_value());
+}
+
+// The u32 fields reject values above UINT32_MAX instead of narrowing them
+// (4294967296 used to wrap to 0).
+constexpr const char* kU32Max = "4294967295";
+constexpr const char* kU32Over = "4294967296";
+
+/// `payload` with the value of `key` replaced by `value`.
+std::string with_field(std::string payload, const std::string& key,
+                       const std::string& value) {
+  const std::size_t at = payload.find(";" + key + "=") + key.size() + 2;
+  const std::size_t end = std::min(payload.find(';', at), payload.size());
+  return payload.replace(at, end - at, value);
+}
+
+TEST(Messages, HeartbeatSiteAndDownListRejectValuesAboveU32) {
+  const std::string beat = "type=heartbeat;site=1;seq=1;down=4,5";
+  ASSERT_TRUE(parse_heartbeat(with_field(beat, "site", kU32Max)));
+  EXPECT_EQ(parse_heartbeat(with_field(beat, "site", kU32Max))->site.value(),
+            4294967295u);
+  EXPECT_FALSE(parse_heartbeat(with_field(beat, "site", kU32Over)));
+  EXPECT_FALSE(parse_heartbeat(with_field(beat, "down",
+                                          std::string{"4,"} + kU32Over)));
+}
+
+TEST(Messages, RouteIdsLabelsAndSitesRejectValuesAboveU32) {
+  RouteAnnouncement m;
+  m.hops = {RouteHop{1, VnfId{4}, SiteId{1}}};
+  const std::string route = serialize(m);
+  for (const char* key : {"chain", "route", "cl", "el", "in", "out"}) {
+    EXPECT_TRUE(parse_route(with_field(route, key, kU32Max))) << key;
+    EXPECT_FALSE(parse_route(with_field(route, key, kU32Over))) << key;
+  }
+  EXPECT_FALSE(parse_route(
+      with_field(route, "hops", std::string{"1:4:"} + kU32Over)));
+}
+
+TEST(Messages, ReplicationSenderRejectsValuesAboveU32) {
+  ReplicationFrame frame;
+  frame.records = {"t=epoch;n=1"};
+  const std::string payload = serialize(frame);
+  EXPECT_TRUE(parse_replication(with_field(payload, "from", kU32Max)));
+  EXPECT_FALSE(parse_replication(with_field(payload, "from", kU32Over)));
+}
+
+TEST(Messages, FieldReaderIsStrict) {
+  // Signs, spaces, trailing bytes and empty values are malformed; a
+  // repeated key reads its last value; pairs without '=' are skipped.
+  for (const char* bad : {"-1", "+1", " 1", "1 ", "1x", "", "0x10"}) {
+    const std::string payload = std::string{"a="} + bad;
+    KvFields f{payload};
+    (void)f.u64("a");
+    EXPECT_FALSE(f.ok()) << "'" << bad << "'";
+  }
+  KvFields f{"a=1;junk;a=2;d=0.25"};
+  EXPECT_EQ(f.u64("a"), 2u);
+  EXPECT_EQ(f.f64("d"), 0.25);
+  EXPECT_TRUE(f.ok());
+  (void)f.u32("missing");
+  EXPECT_FALSE(f.ok());
 }
 
 // --------------------------------------------------------- Deployment setup

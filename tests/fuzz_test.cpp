@@ -1,13 +1,23 @@
 // Randomized differential tests ("fuzz"): drive data-plane and simulator
 // components with random operation sequences and compare against simple
-// reference models.
+// reference models, and feed the journal codec and the bus-message parsers
+// random records and random byte mutations of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <set>
+#include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "control/controller_state.hpp"
+#include "control/messages.hpp"
 #include "dataplane/dht_flow_table.hpp"
 #include "dataplane/flow_table.hpp"
 #include "dataplane/forwarder.hpp"
@@ -214,6 +224,171 @@ TEST_P(SimulatorFuzz, RandomScheduleCancelKeepsOrderAndCounts) {
   EXPECT_TRUE(monotone);
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// ------------------------------------------------------- journal codec
+
+namespace journal = control::journal;
+
+/// Doubles a %.17g line must round-trip, extremes included.
+double random_double(Rng& rng) {
+  static const double kExtremes[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::epsilon(),
+      std::numeric_limits<double>::infinity(),
+      1.0 / 3.0,
+      0.1};
+  if (rng.bernoulli(0.5)) {
+    return kExtremes[rng.uniform_int(0, std::size(kExtremes) - 1)];
+  }
+  return rng.uniform(-1.0, 1.0) *
+         std::pow(10.0, static_cast<double>(rng.uniform_int(-300, 300)));
+}
+
+/// Any byte, with the ones the line grammar reserves over-represented.
+std::string random_name(Rng& rng) {
+  static const char kReserved[] = {'%', ';', '\n', '=', ',', ':', '0', 'A'};
+  std::string name;
+  for (auto n = rng.uniform_int(0, 12); n > 0; --n) {
+    name += rng.bernoulli(0.5)
+                ? kReserved[rng.uniform_int(0, std::size(kReserved) - 1)]
+                : static_cast<char>(rng.uniform_int(0, 255));
+  }
+  return name;
+}
+
+std::vector<SiteId> random_sites(Rng& rng) {
+  std::vector<SiteId> sites;
+  for (auto n = rng.uniform_int(0, 4); n > 0; --n) {
+    sites.emplace_back(static_cast<std::uint32_t>(rng()));
+  }
+  return sites;
+}
+
+control::JournalRecord random_record(Rng& rng) {
+  const auto id = [&rng] { return static_cast<std::uint32_t>(rng()); };
+  const journal::Round round{ChainId{id()}, RouteId{id()}};
+  switch (rng.uniform_int(0, 9)) {
+    case 0: return journal::Epoch{rng()};
+    case 1: return journal::NextRouteId{id()};
+    case 2: {
+      control::ChainRecord c;
+      c.id = ChainId{id()};
+      c.spec.name = random_name(rng);
+      c.spec.ingress_service = EdgeServiceId{id()};
+      c.spec.ingress_node = NodeId{id()};
+      c.spec.egress_service = EdgeServiceId{id()};
+      c.spec.egress_node = NodeId{id()};
+      for (const SiteId s : random_sites(rng)) c.spec.vnfs.emplace_back(s.value());
+      c.spec.forward_traffic = random_double(rng);
+      c.spec.reverse_traffic = random_double(rng);
+      c.labels = dataplane::Labels{id(), id()};
+      c.ingress_site = SiteId{id()};
+      c.egress_site = SiteId{id()};
+      return journal::Chain{c};
+    }
+    case 3: return journal::Begin{round.chain, round.route, random_sites(rng)};
+    case 4: return journal::Prep{round};
+    case 5: return journal::Commit{round};
+    case 6: return journal::Abort{round};
+    case 7: return journal::Retire{round};
+    case 8:
+      return journal::PoolDown{VnfId{id()}, SiteId{id()}, random_double(rng)};
+    default: return journal::PoolUp{VnfId{id()}, SiteId{id()}};
+  }
+}
+
+/// One random edit: overwrite, insert or erase a byte, or truncate.
+std::string mutate(Rng& rng, std::string text) {
+  const auto at = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(text.size())));
+  };
+  const char byte = rng.bernoulli(0.5)
+                        ? ";=,:%\n-9"[rng.uniform_int(0, 7)]
+                        : static_cast<char>(rng.uniform_int(0, 255));
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      if (!text.empty()) text[std::min(at(), text.size() - 1)] = byte;
+      break;
+    case 1: text.insert(at(), 1, byte); break;
+    case 2:
+      if (!text.empty()) text.erase(std::min(at(), text.size() - 1), 1);
+      break;
+    default: text.resize(at()); break;
+  }
+  return text;
+}
+
+class JournalCodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalCodecFuzz,
+                         ::testing::Values(2, 17, 99, 2024));
+
+TEST_P(JournalCodecFuzz, EveryRecordKindRoundTripsByteForByte) {
+  Rng rng{GetParam()};
+  std::set<std::size_t> kinds;
+  for (int i = 0; i < 4000; ++i) {
+    const control::JournalRecord record = random_record(rng);
+    const std::string line = control::encode(record);
+    ASSERT_EQ(line.find('\n'), std::string::npos) << line;
+    const auto decoded = control::decode(line);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+    ASSERT_EQ(decoded->index(), record.index());
+    EXPECT_EQ(control::encode(*decoded), line);
+    if (const auto* chain = std::get_if<journal::Chain>(&record)) {
+      EXPECT_EQ(std::get<journal::Chain>(*decoded).chain.spec.name,
+                chain->chain.spec.name);
+    }
+    kinds.insert(record.index());
+  }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<control::JournalRecord>);
+}
+
+TEST_P(JournalCodecFuzz, MutatedRecordsAndFramesNeverAbort) {
+  // Every parser returns a value or an error on any bytes, and whatever
+  // decodes and applies leaves a state that passes its audit.
+  Rng rng{GetParam()};
+  control::ControllerState state;
+  std::size_t decoded = 0;
+  std::size_t applied = 0;
+  for (int i = 0; i < 6000; ++i) {
+    std::string line = control::encode(random_record(rng));
+    for (auto edits = rng.uniform_int(1, 3); edits > 0; --edits) {
+      line = mutate(rng, std::move(line));
+    }
+    const auto record = control::decode(line);
+    if (!record.ok()) continue;
+    ++decoded;
+    if (state.apply(*record).ok()) ++applied;
+
+    control::ReplicationFrame frame;
+    frame.kind = static_cast<control::ReplicationKind>(rng.uniform_int(0, 3));
+    frame.from = static_cast<std::uint32_t>(rng());
+    frame.epoch = rng();
+    frame.seq = rng();
+    frame.digest = rng();
+    frame.records = {control::encode(random_record(rng)), line};
+    const std::string payload = mutate(rng, control::serialize(frame));
+    if (const auto parsed = control::parse_replication(payload)) {
+      for (const std::string& body : parsed->records) {
+        (void)control::decode(body);
+      }
+    }
+    (void)control::parse_heartbeat(payload);
+    (void)control::parse_route(payload);
+    (void)control::parse_instance(payload);
+    (void)control::parse_forwarder(payload);
+    (void)control::parse_anycast(payload);
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(applied, 0u);
+  state.check_invariants();
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/durable_store.hpp"
@@ -112,6 +113,74 @@ TEST(DurableStore, AppendWriteReadEraseAndCounters) {
   EXPECT_FALSE(store.exists("a"));
   EXPECT_EQ(store.read("a"), "");
   store.check_invariants();
+}
+
+// ---------------------------------------------------------- record codec
+
+TEST(JournalCodec, EncodesTheTextWireFormatByteForByte) {
+  namespace journal = control::journal;
+  control::ChainRecord c;
+  c.id = ChainId{3};
+  c.spec.name = "web";
+  c.spec.ingress_service = EdgeServiceId{0};
+  c.spec.ingress_node = NodeId{0};
+  c.spec.egress_service = EdgeServiceId{0};
+  c.spec.egress_node = NodeId{3};
+  c.spec.vnfs = {VnfId{0}, VnfId{1}};
+  c.spec.forward_traffic = 1.0 / 3.0;
+  c.spec.reverse_traffic = 0.5;
+  c.labels = dataplane::Labels{1003, 3};
+  c.ingress_site = SiteId{0};
+  c.egress_site = SiteId{3};
+  EXPECT_EQ(control::encode(journal::Chain{c}),
+            "t=chain;id=3;name=web;ins=0;inn=0;egs=0;egn=3;vnfs=0,1;"
+            "ft=0.33333333333333331;rt=0.5;cl=1003;el=3;insite=0;egsite=3");
+  const journal::Round round{ChainId{3}, RouteId{7}};
+  EXPECT_EQ(control::encode(journal::Begin{ChainId{3}, RouteId{7},
+                                           {SiteId{1}, SiteId{2}}}),
+            "t=begin;chain=3;route=7;sites=1,2");
+  EXPECT_EQ(control::encode(journal::Prep{round}), "t=prep;chain=3;route=7");
+  EXPECT_EQ(control::encode(journal::Commit{round}),
+            "t=commit;chain=3;route=7");
+  EXPECT_EQ(control::encode(journal::Abort{round}), "t=abort;chain=3;route=7");
+  EXPECT_EQ(control::encode(journal::Retire{round}),
+            "t=retire;chain=3;route=7");
+  EXPECT_EQ(control::encode(journal::Epoch{2}), "t=epoch;n=2");
+  EXPECT_EQ(control::encode(journal::NextRouteId{8}), "t=nri;n=8");
+  EXPECT_EQ(control::encode(journal::PoolDown{VnfId{1}, SiteId{2}, 0.1}),
+            "t=pooldown;vnf=1;site=2;cap=0.10000000000000001");
+  EXPECT_EQ(control::encode(journal::PoolUp{VnfId{1}, SiteId{2}}),
+            "t=poolup;vnf=1;site=2");
+
+  // The name is the one escaped field.
+  c.spec.name = "a;b%\n=c";
+  const std::string line = control::encode(journal::Chain{c});
+  EXPECT_NE(line.find(";name=a%3Bb%25%0A=c;"), std::string::npos) << line;
+  const auto decoded = control::decode(line);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(std::get<journal::Chain>(*decoded).chain.spec.name, c.spec.name);
+}
+
+TEST(JournalCodec, MalformedLinesAreErrorsAndMisfitRecordsAreRejected) {
+  for (const char* bad :
+       {"", "t=", "t=bogus", "t=prep;chain=1", "t=epoch;n=-1",
+        "t=nri;n=4294967296", "t=begin;chain=1;route=2;sites=1,x",
+        "t=pooldown;vnf=1;site=2", "t=chain;id=1;name=%4"}) {
+    EXPECT_FALSE(control::decode(bad).ok()) << "'" << bad << "'";
+  }
+  // Well-formed records that do not fit the state are rejected, and the
+  // state is left as it was.
+  control::ControllerState state;
+  const auto rejects = [&state](const std::string& line) {
+    const auto record = control::decode(line);
+    return record.ok() && !state.apply(*record).ok();
+  };
+  EXPECT_TRUE(rejects("t=prep;chain=1;route=2"));
+  EXPECT_TRUE(rejects("t=commit;chain=1;route=2"));
+  EXPECT_TRUE(rejects("t=begin;chain=1;route=2;sites=3"));
+  EXPECT_TRUE(rejects("t=pooldown;vnf=1;site=2;cap=0"));
+  EXPECT_TRUE(state.chains.empty() && state.inflight.empty() &&
+              state.dead_pools.empty());
 }
 
 // ---------------------------------------------------------- StateJournal

@@ -135,16 +135,23 @@ TEST(Replication, StreamingKeepsHotStandbysConvergent) {
   dep.simulator().run_until(t0 + sim::from_ms(500.0));
 
   // Every follower holds every record the leader journaled, applied it to
-  // a live mirror, and folded the identical digest.
+  // its own ControllerState, and folded the identical digest: each hot
+  // standby is the coordinator's journaled state, record for record.
   EXPECT_GT(group.records_streamed(), 0u);
   EXPECT_EQ(group.digest(1), group.leader_digest());
   EXPECT_EQ(group.digest(2), group.leader_digest());
   for (std::uint32_t r = 0; r < 3; ++r) {
-    const control::ReplicaMirror& mirror = group.mirror(r);
-    EXPECT_EQ(mirror.chains.size(), 2u) << "replica " << r;
-    EXPECT_EQ(mirror.committed.size(), 2u) << "replica " << r;
-    EXPECT_TRUE(mirror.inflight.empty()) << "replica " << r;
+    const control::ControllerState& state = group.state(r);
+    EXPECT_EQ(state.chains.size(), 2u) << "replica " << r;
+    for (const control::ChainRecord& chain : state.chains) {
+      EXPECT_EQ(chain.routes.size(), 1u) << "replica " << r;
+    }
+    EXPECT_TRUE(state.inflight.empty()) << "replica " << r;
+    EXPECT_EQ(state.encode_snapshot(),
+              dep.global().state().encode_snapshot())
+        << "replica " << r;
   }
+  EXPECT_EQ(group.malformed_records(), 0u);
 
   // Commits were held at the quorum barrier: each release waited for a
   // real cross-site durability round trip, not zero time.
@@ -277,12 +284,13 @@ TEST(Replication, LeaderDeathMid2PCFailsOverToReferenceState) {
       EXPECT_NE(group.leader(), 0u);
       EXPECT_EQ(dep.global().epoch(), 2u);
 
-      // Hot promotion: the standby's mirror was already live, so the
-      // failover charged zero replay cost and still re-drove the
-      // prepared commit.
+      // Hot promotion: the coordinator adopted the standby's live state,
+      // so the failover replayed no record, charged zero replay cost, and
+      // still re-drove the prepared commit.
       const control::ColdStartReport& report = dep.global().last_cold_start();
       EXPECT_EQ(report.replay_cost, sim::Duration{0});
-      EXPECT_GT(report.replayed_records, 0u);
+      EXPECT_EQ(report.replayed_records, 0u);
+      EXPECT_EQ(report.chains_restored, 2u);
       EXPECT_EQ(report.redriven_commits, 1u);
       EXPECT_FALSE(group.election_string().empty());
     } else {
@@ -338,6 +346,226 @@ TEST(Replication, RestoreBeforeDetectionTakesTheColdPath) {
   EXPECT_GT(dep.global().last_cold_start().replay_cost, sim::Duration{0});
   const auto walk = mw.send(a->chain, tuple(9));
   EXPECT_TRUE(walk.delivered) << walk.failure;
+  group.verify_convergence();
+  group.check_invariants();
+  dep.stop_replication();
+}
+
+// ------------------------------------- the standby is the state
+
+/// The coordinator's snapshot must equal the one rebuilt by replaying
+/// `replica`'s own journal through the same decode + apply.
+void expect_state_is_journal_replay(core::Deployment& dep,
+                                    std::uint32_t replica) {
+  const auto replayed = control::ControllerState::replay(
+      dep.replica_group()->journal(replica).records());
+  ASSERT_TRUE(replayed.ok()) << replayed.error().to_string();
+  EXPECT_EQ(dep.global().state().encode_snapshot(),
+            replayed->encode_snapshot());
+}
+
+TEST(Replication, PromotionAdoptsTheStandbyStateItsJournalReplaysTo) {
+  // The leader dies with chain b's 2PC round prepared.  The winner's
+  // ControllerState becomes the coordinator's without a journal replay,
+  // and at every point afterwards it equals the state rebuilt by
+  // replaying the winner's journal.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  ASSERT_TRUE(mw.create_chain(make_span_spec(edge, fw, "a")).ok());
+  const sim::SimTime t0 = dep.simulator().now();
+  dep.global().create_chain(make_span_spec(edge, fw, "b"),
+                            [](Result<control::CreationReport>) {});
+  dep.fault_injector().crash_at(t0 + sim::from_ms(95.0), "controller:leader");
+
+  sim::SimTime at = t0;
+  while (group.elections() == 0 && at < t0 + sim::from_ms(3000.0)) {
+    at += sim::from_ms(1.0);
+    dep.simulator().run_until(at);
+  }
+  ASSERT_EQ(group.elections(), 1u);
+  const std::uint32_t winner = group.leader();
+  EXPECT_EQ(dep.global().last_cold_start().replayed_records, 0u);
+  EXPECT_EQ(dep.global().last_cold_start().redriven_commits, 1u);
+  expect_state_is_journal_replay(dep, winner);
+
+  dep.simulator().run_until(t0 + sim::from_ms(3000.0));
+  expect_state_is_journal_replay(dep, winner);
+  for (std::uint32_t r = 0; r < group.replica_count(); ++r) {
+    if (r == winner || !group.replica_up(r)) continue;
+    EXPECT_EQ(group.state(r).encode_snapshot(),
+              dep.global().state().encode_snapshot())
+        << "follower " << r;
+  }
+  group.verify_convergence();
+  dep.global().check_invariants();
+  dep.stop_replication();
+}
+
+TEST(Replication, SnapshotCutAtA2PCRecordHoldsThatRecord) {
+  // With a 5-record interval, the replicated compaction fires inside the
+  // append of add_route's begin record.  The install it cuts is
+  // positioned after that record, so it must already hold the round:
+  // otherwise the follower's journal replays a prep with no begin and the
+  // promoted standby cannot resolve the round.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  DeploymentConfig config = replicated_config();
+  config.replication.journal.snapshot_interval = 5;
+  Middleware mw{std::move(m), config};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto a = mw.create_chain(make_span_spec(edge, fw, "a"));
+  ASSERT_TRUE(a.ok());
+  const sim::SimTime t0 = dep.simulator().now();
+  dep.global().add_route(a->chain, {}, [](Result<control::CreationReport>) {});
+  dep.fault_injector().crash_at(t0 + sim::from_ms(60.0), "controller:leader");
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+
+  EXPECT_EQ(group.malformed_records(), 0u);
+  ASSERT_EQ(group.elections(), 1u);
+  expect_state_is_journal_replay(dep, group.leader());
+  const auto walk = mw.send(a->chain, tuple(11));
+  EXPECT_TRUE(walk.delivered) << walk.failure;
+  group.verify_convergence();
+  dep.global().check_invariants();
+  dep.stop_replication();
+}
+
+TEST(Replication, FollowerRestoredWhileLeaderIsDownRebuildsAndWins) {
+  // A crashed follower forgets its state.  Restored while the leader is
+  // also down, no install can reach it: it rebuilds from its own journal,
+  // ties replica 1 on (epoch, applied), wins on id, and its rebuilt state
+  // becomes the coordinator's.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  std::vector<ChainId> chains;
+  for (const char* name : {"a", "b"}) {
+    const auto r = mw.create_chain(make_span_spec(edge, fw, name));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    chains.push_back(r->chain);
+  }
+  sim::SimTime t0 = dep.simulator().now();
+  dep.simulator().run_until(t0 + sim::from_ms(200.0));
+  const std::vector<std::string> before =
+      dep.global().state().encode_snapshot();
+
+  t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(10.0),
+                                "controller:replica2");
+  dep.fault_injector().crash_at(t0 + sim::from_ms(20.0), "controller:leader");
+  dep.fault_injector().restore_at(t0 + sim::from_ms(30.0),
+                                  "controller:replica2");
+  dep.simulator().run_until(t0 + sim::from_ms(25.0));
+  EXPECT_TRUE(group.state(2).chains.empty()) << "a crash keeps no state";
+  dep.simulator().run_until(t0 + sim::from_ms(35.0));
+  EXPECT_EQ(group.state(2).encode_snapshot(), before);
+
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+  EXPECT_EQ(group.elections(), 1u);
+  EXPECT_EQ(group.cold_restarts(), 0u);
+  EXPECT_EQ(group.leader(), 2u);
+  EXPECT_EQ(dep.global().epoch(), 2u);
+  expect_state_is_journal_replay(dep, 2);
+  for (std::uint32_t i = 0; i < chains.size(); ++i) {
+    const auto walk = mw.send(chains[i], tuple(20 + i));
+    EXPECT_TRUE(walk.delivered) << walk.failure;
+  }
+  group.verify_convergence();
+  group.check_invariants();
+  dep.global().check_invariants();
+  dep.stop_replication();
+}
+
+TEST(Replication, ChainNamesSurviveColdStartAndFailoverVerbatim) {
+  // The codec escapes the bytes its line grammar reserves, so a chain
+  // name may hold any of them.
+  const std::string name = "a;b%\n=c";
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto a = mw.create_chain(make_span_spec(edge, fw, name));
+  ASSERT_TRUE(a.ok()) << a.error().to_string();
+  sim::SimTime t0 = dep.simulator().now();
+  dep.simulator().run_until(t0 + sim::from_ms(200.0));
+  EXPECT_EQ(group.state(1).find(a->chain)->spec.name, name);
+
+  // Cold: the leader restores inside the detection window and replays.
+  t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(10.0), "controller:leader");
+  dep.fault_injector().restore_at(t0 + sim::from_ms(60.0),
+                                  "controller:leader");
+  dep.simulator().run_until(t0 + sim::from_ms(1000.0));
+  ASSERT_EQ(group.cold_restarts(), 1u);
+  EXPECT_EQ(dep.global().record(a->chain).spec.name, name);
+
+  // Failover: the leader dies for good and a standby is promoted.
+  t0 = dep.simulator().now();
+  dep.fault_injector().crash_at(t0 + sim::from_ms(10.0), "controller:leader");
+  dep.simulator().run_until(t0 + sim::from_ms(2000.0));
+  ASSERT_EQ(group.elections(), 1u);
+  EXPECT_EQ(dep.global().record(a->chain).spec.name, name);
+  const auto walk = mw.send(a->chain, tuple(4));
+  EXPECT_TRUE(walk.delivered) << walk.failure;
+  group.verify_convergence();
+  dep.stop_replication();
+}
+
+TEST(Replication, MalformedFramesAreDroppedUnackedAndCounted) {
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  ASSERT_TRUE(mw.create_chain(make_span_spec(edge, fw, "a")).ok());
+  sim::SimTime t0 = dep.simulator().now();
+  dep.simulator().run_until(t0 + sim::from_ms(200.0));
+
+  const bus::Topic to_follower =
+      bus::replication_stream_topic(0, 1, group.site_of(0));
+  control::ReplicationFrame frame;
+  frame.kind = control::ReplicationKind::kRecord;
+  frame.epoch = dep.global().epoch();
+  frame.seq = 1000;
+  frame.records = {"t=bogus;n=1"};                     // does not decode
+  dep.bus().publish(to_follower, control::serialize(frame));
+  frame.records = {"t=epoch;n=7", "t=epoch;n=8"};      // two per frame
+  dep.bus().publish(to_follower, control::serialize(frame));
+  frame.kind = control::ReplicationKind::kSnapshotInstall;
+  frame.records = {"t=epoch;n=1", "t=prep;chain=0;route=9"};   // no begin
+  dep.bus().publish(to_follower, control::serialize(frame));
+  dep.bus().publish(to_follower,   // sender id above UINT32_MAX
+                    "type=repl;k=0;from=4294967296;ep=1;seq=1;dg=0;body=");
+
+  t0 = dep.simulator().now();
+  dep.simulator().run_until(t0 + sim::from_ms(200.0));
+  EXPECT_EQ(group.malformed_records(), 4u);
+  EXPECT_EQ(group.digest(1), group.leader_digest());
+  EXPECT_EQ(group.state(1).encode_snapshot(),
+            dep.global().state().encode_snapshot());
+  EXPECT_EQ(group.divergences(), 0u);
   group.verify_convergence();
   group.check_invariants();
   dep.stop_replication();
