@@ -220,6 +220,45 @@ void MessageBus::wide_area_send(sim::Simulator& sim, const BusConfig& config,
   reliable_attempt(sim, config, message);
 }
 
+void MessageBus::retain(const BusConfig& config, const Topic& topic,
+                        const std::string& payload, Retained& retained) {
+  if (!config.retain_messages || topic.kind != TopicKind::kState ||
+      transient_topic(config, topic.path)) {
+    return;
+  }
+  auto& payloads = retained[topic.path];
+  if (std::find(payloads.begin(), payloads.end(), payload) !=
+      payloads.end()) {
+    return;
+  }
+  payloads.push_back(payload);
+  ++stats_.retained_payloads;
+  stats_.retained_bytes += payload.size();
+}
+
+void MessageBus::replay_retained(sim::Simulator& sim, const BusConfig& config,
+                                 ProxyEgress& egress, const Retained& retained,
+                                 SiteId subscriber_site, const Topic& topic,
+                                 const SubscriberCallback& callback) {
+  const auto it = retained.find(topic.path);
+  if (it == retained.end()) return;
+  for (const std::string& payload : it->second) {
+    Message message{topic.path, payload, sim.now()};
+    auto deliver = [this, simp = &sim, callback, message] {
+      ++stats_.local_deliveries;
+      stats_.delivery_latency_ms.add(
+          sim::to_ms(simp->now() - message.published_at));
+      callback(message);
+    };
+    if (subscriber_site == topic.publisher_site) {
+      sim.schedule(config.local_delivery_delay, std::move(deliver));
+    } else {
+      wide_area_send(sim, config, egress, topic.publisher_site,
+                     subscriber_site, topic.path, std::move(deliver));
+    }
+  }
+}
+
 // ------------------------------------------------------------------ ProxyBus
 
 ProxyBus::ProxyBus(sim::Simulator& sim, BusConfig config)
@@ -243,44 +282,18 @@ void ProxyBus::subscribe(SiteId subscriber_site, const Topic& topic,
     sites.push_back(subscriber_site);
   }
   // Local fan-out at the subscriber's proxy.
-  SubscriberCallback stored = callback;   // copy for retained replay
   proxies_[subscriber_site.value()].locals[topic.path].push_back(
-      LocalSubscriber{std::move(callback)});
-
+      LocalSubscriber{callback});
   // Replay retained state to the late subscriber only.
-  if (config_.retain_messages) {
-    const auto it = publisher_proxy.retained.find(topic.path);
-    if (it == publisher_proxy.retained.end()) return;
-    for (const std::string& payload : it->second) {
-      Message message{topic.path, payload, sim_.now()};
-      auto deliver = [this, stored, message] {
-        ++stats_.local_deliveries;
-        stats_.delivery_latency_ms.add(
-            sim::to_ms(sim_.now() - message.published_at));
-        stored(message);
-      };
-      if (subscriber_site == topic.publisher_site) {
-        sim_.schedule(config_.local_delivery_delay, std::move(deliver));
-      } else {
-        wide_area_send(sim_, config_, *publisher_proxy.egress,
-                       topic.publisher_site, subscriber_site, topic.path,
-                       std::move(deliver));
-      }
-    }
-  }
+  replay_retained(sim_, config_, *publisher_proxy.egress,
+                  publisher_proxy.retained, subscriber_site, topic, callback);
 }
 
 void ProxyBus::publish(const Topic& topic, std::string payload) {
   ++stats_.published;
   const SiteId origin = topic.publisher_site;
   SiteProxy& proxy = proxies_[origin.value()];
-  if (config_.retain_messages && !transient_topic(config_, topic.path)) {
-    auto& payloads = proxy.retained[topic.path];
-    if (std::find(payloads.begin(), payloads.end(), payload) ==
-        payloads.end()) {
-      payloads.push_back(payload);
-    }
-  }
+  retain(config_, topic, payload, proxy.retained);
   Message message{topic.path, std::move(payload), sim_.now()};
 
   const auto it = proxy.filters.find(topic.path);
@@ -324,41 +337,15 @@ FullMeshBus::FullMeshBus(sim::Simulator& sim, BusConfig config)
 
 void FullMeshBus::subscribe(SiteId subscriber_site, const Topic& topic,
                             SubscriberCallback callback) {
-  SubscriberCallback stored = callback;   // copy for retained replay
-  subscribers_[topic.path].push_back(
-      Subscriber{subscriber_site, std::move(callback)});
-  if (config_.retain_messages) {
-    const auto it = retained_.find(topic.path);
-    if (it == retained_.end()) return;
-    const SiteId origin = topic.publisher_site;
-    for (const std::string& payload : it->second) {
-      Message message{topic.path, payload, sim_.now()};
-      auto deliver = [this, stored, message] {
-        ++stats_.local_deliveries;
-        stats_.delivery_latency_ms.add(
-            sim::to_ms(sim_.now() - message.published_at));
-        stored(message);
-      };
-      if (subscriber_site == origin) {
-        sim_.schedule(config_.local_delivery_delay, std::move(deliver));
-      } else {
-        wide_area_send(sim_, config_, *egress_[origin.value()], origin,
-                       subscriber_site, topic.path, std::move(deliver));
-      }
-    }
-  }
+  subscribers_[topic.path].push_back(Subscriber{subscriber_site, callback});
+  replay_retained(sim_, config_, *egress_[topic.publisher_site.value()],
+                  retained_, subscriber_site, topic, callback);
 }
 
 void FullMeshBus::publish(const Topic& topic, std::string payload) {
   ++stats_.published;
   const SiteId origin = topic.publisher_site;
-  if (config_.retain_messages && !transient_topic(config_, topic.path)) {
-    auto& payloads = retained_[topic.path];
-    if (std::find(payloads.begin(), payloads.end(), payload) ==
-        payloads.end()) {
-      payloads.push_back(payload);
-    }
-  }
+  retain(config_, topic, payload, retained_);
   const auto it = subscribers_.find(topic.path);
   if (it == subscribers_.end()) return;
   Message message{topic.path, std::move(payload), sim_.now()};

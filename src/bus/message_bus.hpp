@@ -59,10 +59,11 @@ struct BusConfig {
   std::size_t egress_buffer{1024};
   /// Delay of a local (same-site) delivery.
   sim::Duration local_delivery_delay{sim::microseconds(50)};
-  /// Retain published control state per topic and replay it to late
-  /// subscribers (control-plane topics carry configuration state, so a
-  /// subscriber arriving after the publish must still converge — the
-  /// prototype's bus replicates state the same way, Section 6).
+  /// Retain published control state per state topic (TopicKind::kState)
+  /// and replay it to late subscribers (such topics carry configuration
+  /// state, so a subscriber arriving after the publish must still
+  /// converge — the prototype's bus replicates state the same way,
+  /// Section 6).  Stream topics are never retained.
   bool retain_messages{true};
   /// Topics with this path prefix are transient telemetry (heartbeats):
   /// never retained and never retransmitted, whatever the other knobs say.
@@ -105,6 +106,10 @@ struct BusStats {
   std::uint64_t abandoned_retransmits{0};
   /// Redundant deliveries suppressed at the receiver (at-least-once).
   std::uint64_t duplicate_deliveries{0};
+  /// Payloads currently retained for replay to late subscribers, and
+  /// their bytes (state topics only; see TopicKind).
+  std::uint64_t retained_payloads{0};
+  std::uint64_t retained_bytes{0};
   /// Publish-to-delivery latency (ms) over all deliveries.
   SampleStats delivery_latency_ms;
 };
@@ -185,6 +190,22 @@ class MessageBus {
            topic_path.starts_with(config.transient_prefix);
   }
 
+  /// Retained state: topic path -> distinct payloads, publish order.
+  using Retained = std::unordered_map<std::string, std::vector<std::string>>;
+
+  /// Keeps `payload` for late subscribers when `topic` is a state topic
+  /// and retention is on; stream and transient topics keep nothing.
+  void retain(const BusConfig& config, const Topic& topic,
+              const std::string& payload, Retained& retained);
+
+  /// Replays `topic`'s retained payloads to one late subscriber: a local
+  /// delivery at the publisher's site, else one wide-area copy each
+  /// through `egress`.
+  void replay_retained(sim::Simulator& sim, const BusConfig& config,
+                       ProxyEgress& egress, const Retained& retained,
+                       SiteId subscriber_site, const Topic& topic,
+                       const SubscriberCallback& callback);
+
  private:
   /// In-flight state of one reliable wide-area copy.  Entries are shared
   /// with the scheduled closures (in-flight wire copies and ack/retry
@@ -261,8 +282,8 @@ class ProxyBus final : public MessageBus {
     std::unordered_map<std::string, std::vector<SiteId>> filters;
     /// Local fan-out at this (subscriber-side) proxy.
     std::unordered_map<std::string, std::vector<LocalSubscriber>> locals;
-    /// Retained state per topic (distinct payloads, publish order).
-    std::unordered_map<std::string, std::vector<std::string>> retained;
+    /// Retained state of the state topics published here.
+    Retained retained;
     std::unique_ptr<ProxyEgress> egress;
   };
 
@@ -290,7 +311,7 @@ class FullMeshBus final : public MessageBus {
   sim::Simulator& sim_;
   BusConfig config_;
   std::unordered_map<std::string, std::vector<Subscriber>> subscribers_;
-  std::unordered_map<std::string, std::vector<std::string>> retained_;
+  Retained retained_;
   std::vector<std::unique_ptr<ProxyEgress>> egress_;   // per publisher site
 };
 

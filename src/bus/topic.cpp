@@ -44,14 +44,14 @@ Topic replication_stream_topic(std::uint32_t from_replica,
                                SiteId publisher_site) {
   return Topic{"/ctl/repl/" + std::to_string(from_replica) + "_" +
                    std::to_string(to_replica),
-               publisher_site};
+               publisher_site, TopicKind::kStream};
 }
 
 Topic replication_ack_topic(std::uint32_t from_replica,
                             std::uint32_t to_replica, SiteId publisher_site) {
   return Topic{"/ctl/repl/ack/" + std::to_string(from_replica) + "_" +
                    std::to_string(to_replica),
-               publisher_site};
+               publisher_site, TopicKind::kStream};
 }
 
 Topic replica_health_topic(std::uint32_t replica, SiteId publisher_site) {

@@ -14,11 +14,24 @@
 
 namespace switchboard::bus {
 
+/// What the bus keeps of a topic's payloads (DESIGN.md §7).
+enum class TopicKind : std::uint8_t {
+  /// Configuration state: every distinct payload is retained at the
+  /// publisher's proxy and replayed to late subscribers, so a subscriber
+  /// arriving after the publish still converges.
+  kState,
+  /// A point-to-point stream whose subscribers exist before its first
+  /// publish: delivered reliably (acked, retransmitted) but never
+  /// retained, because nobody subscribes late.
+  kStream,
+};
+
 struct Topic {
   std::string path;
   /// The site whose elements publish on this topic; subscription filters
   /// install at this site's proxy.
   SiteId publisher_site;
+  TopicKind kind{TopicKind::kState};
 
   friend bool operator==(const Topic&, const Topic&) = default;
 };
@@ -60,14 +73,17 @@ struct Topic {
 /// "/ctl/repl/<from>_<to>" — the directed journal-replication stream from
 /// controller replica `from` to replica `to` (DESIGN.md §18).  NOT under
 /// "/health/": replication frames are control state, so they ride the
-/// reliable bus (acked, retransmitted) and survive transient loss.
-/// `publisher_site` is the site hosting replica `from`.
+/// reliable bus (acked, retransmitted) and survive transient loss.  A
+/// kStream topic: its one subscriber is in place before the first frame,
+/// so the bus keeps no copy.  `publisher_site` is the site hosting
+/// replica `from`.
 [[nodiscard]] Topic replication_stream_topic(std::uint32_t from_replica,
                                              std::uint32_t to_replica,
                                              SiteId publisher_site);
 
 /// "/ctl/repl/ack/<from>_<to>" — cumulative durable-apply acknowledgements
 /// from replica `from` back to replica `to` (the quorum barrier's input).
+/// A kStream topic, like the stream it acknowledges.
 [[nodiscard]] Topic replication_ack_topic(std::uint32_t from_replica,
                                           std::uint32_t to_replica,
                                           SiteId publisher_site);

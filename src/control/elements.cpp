@@ -4,15 +4,17 @@
 
 namespace switchboard::control {
 
-dataplane::ElementId ElementRegistry::create_forwarder(
-    SiteId site, std::size_t flow_capacity) {
+dataplane::ElementId ElementRegistry::create_forwarder(SiteId site) {
   const auto id = static_cast<dataplane::ElementId>(elements_.size());
   ElementInfo info;
   info.id = id;
   info.type = ElementType::kForwarder;
   info.site = site;
   elements_.push_back(info);
-  engines_.push_back(std::make_unique<dataplane::Forwarder>(id, flow_capacity));
+  // Capacity hint 0: every shard starts at the table's minimum and grows
+  // with the flows pinned here.
+  engines_.push_back(
+      std::make_unique<dataplane::Forwarder>(id, /*flow_capacity=*/0));
   return id;
 }
 

@@ -37,9 +37,10 @@ struct ElementInfo {
 
 class ElementRegistry {
  public:
-  /// Creates a forwarder at a site.  Returns its element id.
-  dataplane::ElementId create_forwarder(SiteId site,
-                                        std::size_t flow_capacity = 4096);
+  /// Creates a forwarder at a site.  Returns its element id.  Its flow
+  /// table starts at the minimum capacity and grows with the flows it
+  /// pins, so an idle forwarder costs no per-flow memory.
+  dataplane::ElementId create_forwarder(SiteId site);
 
   /// Creates a VNF instance attached to `forwarder`.
   dataplane::ElementId create_vnf_instance(SiteId site, VnfId vnf,

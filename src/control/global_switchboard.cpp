@@ -8,6 +8,31 @@
 #include "common/log.hpp"
 
 namespace switchboard::control {
+namespace {
+
+/// Why `spec` cannot name a chain in `model`, or empty when it can: every
+/// id must be in range and the traffic estimates finite and non-negative.
+std::string invalid_spec_reason(const ChainSpec& spec,
+                                const model::NetworkModel& model) {
+  const std::size_t nodes = model.topology().node_count();
+  if (!spec.ingress_node.valid() || spec.ingress_node.value() >= nodes ||
+      !spec.egress_node.valid() || spec.egress_node.value() >= nodes) {
+    return "ingress/egress node out of range";
+  }
+  for (const VnfId vnf : spec.vnfs) {
+    if (!vnf.valid() || vnf.value() >= model.vnfs().size()) {
+      return "unknown VNF " + std::to_string(vnf.value());
+    }
+  }
+  if (!std::isfinite(spec.forward_traffic) || spec.forward_traffic < 0.0 ||
+      !std::isfinite(spec.reverse_traffic) || spec.reverse_traffic < 0.0) {
+    return "traffic must be finite and non-negative";
+  }
+  return {};
+}
+
+}  // namespace
+
 GlobalSwitchboard::GlobalSwitchboard(ControlContext& context, SiteId home_site)
     : context_{context}, home_site_{home_site}, loads_{context.model} {
   state_.epoch = 1;
@@ -146,6 +171,11 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
   context_.sim.schedule(
       resolve_delay,
       fenced([this, spec, report, done = std::move(done)]() mutable {
+    if (const std::string reason = invalid_spec_reason(spec, context_.model);
+        !reason.empty()) {
+      done(Result<CreationReport>{ErrorCode::kInvalidArgument, reason});
+      return;
+    }
     if (spec.ingress_service.value() >= edge_controllers_.size() ||
         edge_controllers_[spec.ingress_service.value()] == nullptr ||
         spec.egress_service.value() >= edge_controllers_.size() ||

@@ -235,17 +235,23 @@ void ReplicaGroup::on_compaction_wanted() {
   publish(std::move(outbox));
 }
 
-void ReplicaGroup::push_install_to(std::uint32_t to) {
+ReplicaGroup::Outbox ReplicaGroup::push_installs_to(
+    const std::vector<std::uint32_t>& targets) {
+  Outbox outbox;
+  if (targets.empty()) return outbox;
   // Snapshot of the leader's state *now*: followers installing it land at
   // stream position stream_seq_ with the leader's current digest.
-  ++installs_sent_;
-  replicas_[to].stalled_beats = 0;
-  install_outbox_.emplace_back(
-      bus::replication_stream_topic(leader_, to, sites_[leader_]),
-      serialize(ReplicationFrame{
-          ReplicationKind::kSnapshotInstall, leader_, global_.epoch(),
-          stream_seq_, replicas_[leader_].digest,
-          global_.state().encode_snapshot()}));
+  const std::string payload = serialize(ReplicationFrame{
+      ReplicationKind::kSnapshotInstall, leader_, global_.epoch(),
+      stream_seq_, replicas_[leader_].digest,
+      global_.state().encode_snapshot()});
+  for (const std::uint32_t to : targets) {
+    ++installs_sent_;
+    replicas_[to].stalled_beats = 0;
+    outbox.emplace_back(
+        bus::replication_stream_topic(leader_, to, sites_[leader_]), payload);
+  }
+  return outbox;
 }
 
 void ReplicaGroup::on_stream_frame(std::uint32_t to,
@@ -416,6 +422,7 @@ void ReplicaGroup::beat() {
     // (retransmit budget exhausted across a partition) — re-sync it with
     // a full snapshot install.
     if (replicas_[leader_].up && global_.up()) {
+      std::vector<std::uint32_t> stalled;
       for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
         if (f == leader_ || !replicas_[f].up) continue;
         if (replicas_[f].acked >= stream_seq_) {
@@ -423,10 +430,10 @@ void ReplicaGroup::beat() {
           continue;
         }
         if (++replicas_[f].stalled_beats >= config_.repair_stall_beats) {
-          push_install_to(f);
+          stalled.push_back(f);
         }
       }
-      for (auto& frame : std::exchange(install_outbox_, {})) {
+      for (auto& frame : push_installs_to(stalled)) {
         outbox.push_back(std::move(frame));
       }
     }
@@ -582,8 +589,7 @@ void ReplicaGroup::restore_replica(std::uint32_t replica) {
       replicas_[replica].applied_seq = 0;
       replicas_[replica].acked = 0;
       replicas_[replica].reorder.clear();
-      push_install_to(replica);
-      outbox.swap(install_outbox_);
+      outbox = push_installs_to({replica});
     }
     publish(std::move(outbox));
   }
@@ -601,7 +607,6 @@ void ReplicaGroup::drop_leader_work() {
   barriers_dropped_ += pending_.size();
   pending_.clear();
   install_pending_ = false;
-  install_outbox_.clear();
 }
 
 ReplicaGroup::Outbox ReplicaGroup::restart_stream() {
@@ -621,10 +626,11 @@ ReplicaGroup::Outbox ReplicaGroup::restart_stream() {
 }
 
 ReplicaGroup::Outbox ReplicaGroup::push_installs() {
+  std::vector<std::uint32_t> followers;
   for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
-    if (f != leader_ && replicas_[f].up) push_install_to(f);
+    if (f != leader_ && replicas_[f].up) followers.push_back(f);
   }
-  return std::exchange(install_outbox_, {});
+  return push_installs_to(followers);
 }
 
 double ReplicaGroup::mean_quorum_ack_ms() const {

@@ -240,8 +240,11 @@ class ReplicaGroup {
 
   void beat();
   void elect_and_promote() SWB_EXCLUDES(mutex_);
-  /// Streams a full snapshot install to `to` from the current leader.
-  void push_install_to(std::uint32_t to) SWB_REQUIRES(mutex_);
+  /// Queues a full snapshot install from the current leader to each
+  /// follower in `targets` (returned).  The frame is byte-identical for
+  /// every follower, so the snapshot is encoded and serialized once.
+  [[nodiscard]] Outbox push_installs_to(
+      const std::vector<std::uint32_t>& targets) SWB_REQUIRES(mutex_);
   /// Installs the base snapshot into every replica's journal + state
   /// locally (bootstrap only — no messaging).
   void bootstrap_install() SWB_EXCLUDES(mutex_);
@@ -287,9 +290,6 @@ class ReplicaGroup {
   bool install_pending_ SWB_GUARDED_BY(mutex_){false};
   std::uint64_t install_seq_ SWB_GUARDED_BY(mutex_){0};
   std::set<std::uint32_t> install_acks_ SWB_GUARDED_BY(mutex_);
-  /// Frames queued by push_install_to() under the lock, published by the
-  /// caller after release (the no-publish-under-lock contract).
-  Outbox install_outbox_ SWB_GUARDED_BY(mutex_);
   sim::EventHandle beat_event_ SWB_GUARDED_BY(mutex_){};
   bool beating_ SWB_GUARDED_BY(mutex_){false};
 

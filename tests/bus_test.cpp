@@ -291,6 +291,60 @@ TEST_P(BusFanoutProperty, DeliveryAndWanCountsMatchTopology) {
   EXPECT_EQ(bus.stats().drops, 0u);
 }
 
+// ------------------------------------------------------------ Topic kinds
+
+// A state topic keeps every distinct payload and replays it to a late
+// subscriber; a stream topic is delivered reliably to the subscribers it
+// has but keeps nothing, so a late subscriber hears only what follows.
+template <typename Bus>
+void check_state_and_stream_kinds() {
+  sim::Simulator sim;
+  BusConfig config = make_config(3);
+  config.reliable_delivery = true;
+  Bus bus{sim, config};
+  const Topic state{"/routes", SiteId{0}};
+  const Topic stream = replication_stream_topic(0, 1, SiteId{0});
+  ASSERT_EQ(state.kind, TopicKind::kState);
+  ASSERT_EQ(stream.kind, TopicKind::kStream);
+  EXPECT_EQ(replication_ack_topic(1, 0, SiteId{1}).kind, TopicKind::kStream);
+
+  int early_stream = 0;
+  bus.subscribe(SiteId{1}, stream,
+                [&early_stream](const Message&) { ++early_stream; });
+  bus.publish(state, "r1");
+  bus.publish(state, "r2");
+  bus.publish(state, "r1");   // not distinct: retained once
+  for (int i = 0; i < 5; ++i) bus.publish(stream, "f" + std::to_string(i));
+  sim.run();
+  EXPECT_EQ(early_stream, 5);
+  EXPECT_EQ(bus.stats().acks, 5u);   // streams stay reliable
+  EXPECT_EQ(bus.stats().retained_payloads, 2u);
+  EXPECT_EQ(bus.stats().retained_bytes, 4u);
+
+  std::vector<std::string> late_state;
+  int late_stream = 0;
+  bus.subscribe(SiteId{2}, state, [&late_state](const Message& m) {
+    late_state.push_back(m.payload);
+  });
+  bus.subscribe(SiteId{2}, stream,
+                [&late_stream](const Message&) { ++late_stream; });
+  sim.run();
+  EXPECT_EQ(late_state, (std::vector<std::string>{"r1", "r2"}));
+  EXPECT_EQ(late_stream, 0);
+  bus.publish(stream, "f5");
+  sim.run();
+  EXPECT_EQ(late_stream, 1);
+  EXPECT_EQ(bus.stats().retained_payloads, 2u);
+}
+
+TEST(TopicKinds, ProxyBusRetainsStateTopicsOnly) {
+  check_state_and_stream_kinds<ProxyBus>();
+}
+
+TEST(TopicKinds, FullMeshBusRetainsStateTopicsOnly) {
+  check_state_and_stream_kinds<FullMeshBus>();
+}
+
 // ------------------------------------------------------------ ReliableBus
 
 // Without abandonment, every reliable copy toward a silent site burns its

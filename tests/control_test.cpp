@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "control/messages.hpp"
 #include "core/middleware.hpp"
@@ -226,6 +229,53 @@ TEST(ChainCreation, InfeasibleWhenNoCapacity) {
   const auto result = mw.create_chain(fx.make_spec(edge, /*traffic=*/10.0));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kInfeasible);
+}
+
+TEST(ChainCreation, InvalidSpecsErrorWithoutJournalingOrAborting) {
+  // Unknown VNFs, out-of-range nodes and non-finite or negative traffic
+  // are caller errors: each returns kInvalidArgument before the chain is
+  // registered, so nothing is journaled and the audits stay clean.
+  Fixture fx;
+  core::DeploymentConfig config;
+  config.durable_controller = true;
+  Middleware mw{fx.make_model(), config};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  Deployment& dep = mw.deployment();
+  const StateJournal* journal = dep.state_journal();
+  ASSERT_NE(journal, nullptr);
+  const std::uint64_t appends = journal->appends();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  std::vector<ChainSpec> invalid;
+  const auto with = [&](auto&& mutate) {
+    ChainSpec spec = fx.make_spec(edge);
+    mutate(spec);
+    invalid.push_back(spec);
+  };
+  with([](ChainSpec& s) { s.vnfs = {VnfId{42}}; });
+  with([](ChainSpec& s) { s.vnfs.push_back(VnfId{}); });
+  with([](ChainSpec& s) { s.ingress_node = NodeId{3}; });
+  with([](ChainSpec& s) { s.egress_node = NodeId{}; });
+  with([](ChainSpec& s) { s.forward_traffic = -1.0; });
+  with([&](ChainSpec& s) { s.forward_traffic = nan; });
+  with([&](ChainSpec& s) { s.forward_traffic = inf; });
+  with([](ChainSpec& s) { s.reverse_traffic = -0.5; });
+  with([&](ChainSpec& s) { s.reverse_traffic = nan; });
+  for (std::size_t i = 0; i < invalid.size(); ++i) {
+    const auto result = mw.create_chain(invalid[i]);
+    ASSERT_FALSE(result.ok()) << "spec " << i;
+    EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument) << "spec " << i;
+    EXPECT_EQ(journal->appends(), appends) << "spec " << i;
+    EXPECT_TRUE(dep.network_model().chains().empty()) << "spec " << i;
+    dep.global().check_invariants();
+    dep.global().state().check_invariants();
+  }
+
+  // The controller is unharmed: a valid spec still goes through.
+  const auto valid = mw.create_chain(fx.make_spec(edge));
+  ASSERT_TRUE(valid.ok()) << valid.error().to_string();
+  EXPECT_GT(journal->appends(), appends);
 }
 
 // ----------------------------------------------------------- Data plane E2E
@@ -604,6 +654,82 @@ TEST(ElementRegistry, DedicatedForwarderPerService) {
     EXPECT_LE(services.size(), 1u)
         << "forwarder " << id << " fronts multiple services";
   }
+}
+
+/// One flow-table entry flattened: labels, addresses, ports, pinnings.
+using FlowRow =
+    std::tuple<std::uint32_t, std::uint32_t, std::uint32_t, std::uint32_t,
+               std::uint32_t, dataplane::ElementId, dataplane::ElementId,
+               dataplane::ElementId>;
+
+/// Every entry of a forwarder's flow table, sorted: the table's content
+/// independent of its slot layout.
+std::vector<FlowRow> flow_contents(const dataplane::Forwarder& forwarder) {
+  std::vector<FlowRow> flows;
+  forwarder.flow_table().for_each([&flows](const dataplane::Labels& labels,
+                                           const dataplane::FiveTuple& t,
+                                           const dataplane::FlowEntry& e) {
+    flows.emplace_back(labels.chain, labels.egress_site, t.src_ip,
+                       t.dst_ip, (std::uint32_t{t.src_port} << 16) | t.dst_port,
+                       e.vnf_instance, e.next_forwarder, e.prev_element);
+  });
+  std::sort(flows.begin(), flows.end());
+  return flows;
+}
+
+TEST(ElementRegistry, ForwarderFlowTableStartsAtMinimumAndGrowsOnDemand) {
+  // A registry forwarder holds no slots for flows it does not have: its
+  // table starts at the minimum capacity, grows to 10^4 flows, finds each
+  // one, and migrates and drains exactly as a table presized for them.
+  ElementRegistry registry;
+  dataplane::Forwarder& grown =
+      registry.forwarder(registry.create_forwarder(SiteId{0}));
+  const std::size_t minimum_bytes =
+      dataplane::ShardedFlowTable{0, grown.flow_table().shard_count()}
+          .memory_bytes();
+  EXPECT_EQ(grown.flow_table().memory_bytes(), minimum_bytes);
+  dataplane::Forwarder presized{grown.id(), /*flow_capacity=*/1u << 15};
+  EXPECT_GT(presized.flow_table().memory_bytes(), minimum_bytes);
+
+  constexpr std::uint32_t kFlows = 10'000;
+  const auto labels_of = [](std::uint32_t i) {
+    return dataplane::Labels{1000 + i % 7, 3};
+  };
+  const auto entry_of = [](std::uint32_t i) {
+    return dataplane::FlowEntry{100 + i % 5, 200 + i % 3, 300};
+  };
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    grown.flow_table().insert(labels_of(i), tuple(i), entry_of(i));
+    presized.flow_table().insert(labels_of(i), tuple(i), entry_of(i));
+  }
+  EXPECT_EQ(grown.flow_table().size(), kFlows);
+  EXPECT_GT(grown.flow_table().memory_bytes(), minimum_bytes);
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    const auto found = grown.flow_table().find(labels_of(i), tuple(i));
+    ASSERT_TRUE(found.has_value()) << "flow " << i;
+    EXPECT_EQ(*found, entry_of(i)) << "flow " << i;
+  }
+  grown.flow_table().check_invariants();
+  EXPECT_EQ(flow_contents(grown), flow_contents(presized));
+
+  // Migration moves the same flows into a registry-made target as into a
+  // presized one.
+  dataplane::Forwarder& grown_target =
+      registry.forwarder(registry.create_forwarder(SiteId{1}));
+  dataplane::Forwarder presized_target{grown_target.id(), 1u << 15};
+  const std::size_t moved = grown.migrate_flows(grown_target, 101, 501);
+  EXPECT_EQ(moved, kFlows / 5);
+  EXPECT_EQ(presized.migrate_flows(presized_target, 101, 501), moved);
+  EXPECT_EQ(flow_contents(grown), flow_contents(presized));
+  EXPECT_EQ(flow_contents(grown_target), flow_contents(presized_target));
+
+  // A drain invalidates the same pinnings in both.
+  const std::size_t drained = grown.drain_element(200);
+  EXPECT_GT(drained, 0u);
+  EXPECT_EQ(presized.drain_element(200), drained);
+  EXPECT_EQ(flow_contents(grown), flow_contents(presized));
+  grown.flow_table().check_invariants();
+  grown_target.flow_table().check_invariants();
 }
 
 }  // namespace

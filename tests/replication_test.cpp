@@ -229,6 +229,67 @@ TEST(Replication, CompactionIsFencedOnFollowerInstallAcks) {
   dep.stop_replication();
 }
 
+TEST(Replication, BusRetainsNoStreamFramesButStillReplaysRouteState) {
+  // The replication stream and its acks are subscribed before the first
+  // frame, so the bus keeps no copy of them (stream topics); the routes
+  // topic is state, retained and replayed to a late subscriber.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  DeploymentConfig config = replicated_config();
+  config.replication.journal.snapshot_interval = 8;   // installs stream too
+  Middleware mw{std::move(m), config};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  constexpr std::size_t kChains = 12;
+  for (std::size_t i = 0; i < kChains; ++i) {
+    const auto r =
+        mw.create_chain(make_span_spec(edge, fw, "c" + std::to_string(i)));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+  }
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  dep.stop_replication();   // no frame is published from here on
+  EXPECT_GE(group.records_streamed(), 50u);
+  EXPECT_GT(group.snapshot_installs_sent(), 0u);
+  const bus::BusStats& stats = dep.bus().stats();
+  const std::uint64_t retained = stats.retained_payloads;
+  EXPECT_GT(retained, 0u);
+  EXPECT_GT(stats.retained_bytes, 0u);
+
+  // A late subscriber at the one site hosting no replica replays
+  // whatever the bus retained: nothing on any /ctl/repl/ topic...
+  const SiteId late{3};
+  int replayed_frames = 0;
+  const auto count_frame = [&replayed_frames](const bus::Message&) {
+    ++replayed_frames;
+  };
+  for (std::uint32_t from = 0; from < 3; ++from) {
+    ASSERT_NE(group.site_of(from), late);
+    for (std::uint32_t to = 0; to < 3; ++to) {
+      if (from == to) continue;
+      dep.bus().subscribe(late,
+                          bus::replication_stream_topic(
+                              from, to, group.site_of(from)),
+                          count_frame);
+      dep.bus().subscribe(
+          late, bus::replication_ack_topic(from, to, group.site_of(from)),
+          count_frame);
+    }
+  }
+  // ...while the routes topic replays every route announcement.
+  std::vector<std::string> routes;
+  dep.bus().subscribe(late, dep.global().routes_topic(),
+                      [&routes](const bus::Message& message) {
+                        routes.push_back(message.payload);
+                      });
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  EXPECT_EQ(replayed_frames, 0);
+  EXPECT_GE(routes.size(), kChains);
+  EXPECT_EQ(stats.retained_payloads, retained);
+}
+
 // ----------------------------------------------- hot failover mid-2PC
 
 TEST(Replication, LeaderDeathMid2PCFailsOverToReferenceState) {
