@@ -7,11 +7,11 @@
 // of aborting, because records also arrive over the bus.  The chain name,
 // the one free-text field, has '%', ';' and '\n' percent-escaped.
 //
-// apply() is the only interpreter: cold-start replay, every follower's hot
+// apply() is the only interpreter: the live coordinator (applying each
+// record just before it journals it, so a snapshot cut inside the append
+// already holds the record), cold-start replay, every follower's hot
 // standby, and encode_snapshot() (the shortest record sequence that applies
-// back to the same state) all go through it.  The live commit path mutates
-// the same fields directly, just before the append that journals the
-// change, so a snapshot cut inside that append already holds the record.
+// back to the same state) all go through it.
 #pragma once
 
 #include <cstdint>
@@ -144,8 +144,9 @@ struct ControllerState {
 
   /// Applies one record.  A record that does not fit the state (a prep or
   /// commit with no begin, a begin for an unknown chain, ...) is rejected
-  /// with the state unchanged.  Route weights stay 1/N and a chain is
-  /// active iff it has routes, as on the live path.
+  /// with the state unchanged.  A begin advances the route-id allocator
+  /// past its id; route weights stay 1/N and a chain is active iff it has
+  /// routes.
   [[nodiscard]] Status apply(const JournalRecord& record);
 
   /// Rebuilds a state from journal lines (snapshot, then log) through

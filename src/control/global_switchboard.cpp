@@ -35,7 +35,7 @@ std::string invalid_spec_reason(const ChainSpec& spec,
 
 GlobalSwitchboard::GlobalSwitchboard(ControlContext& context, SiteId home_site)
     : context_{context}, home_site_{home_site}, loads_{context.model} {
-  state_.epoch = 1;
+  write_record(journal::Epoch{1});   // nothing journals before durability
 }
 
 bus::Topic GlobalSwitchboard::routes_topic() const {
@@ -94,15 +94,6 @@ RouteAnnouncement GlobalSwitchboard::to_announcement(
   return announcement;
 }
 
-std::set<std::uint32_t> GlobalSwitchboard::involved_sites(
-    const ChainRecord& record, const RouteRecord& route) const {
-  std::set<std::uint32_t> sites;
-  sites.insert(record.ingress_site.value());
-  sites.insert(record.egress_site.value());
-  for (const SiteId site : route.vnf_sites) sites.insert(site.value());
-  return sites;
-}
-
 void GlobalSwitchboard::publish_routes(const ChainRecord& record) {
   for (const RouteRecord& route : record.routes) {
     context_.bus.publish(routes_topic(),
@@ -152,10 +143,25 @@ void GlobalSwitchboard::ensure_loads_current() {
   if (!loads_primed_ || !(model_shape() == loads_shape_)) rebuild_loads();
 }
 
-void GlobalSwitchboard::apply_route_loads(const ChainRecord& record,
-                                          const RouteRecord& route,
-                                          double weight_delta) {
-  if (weight_delta != 0.0) add_route_flow(loads_, record, route, weight_delta);
+void GlobalSwitchboard::apply_weight_deltas(
+    const ChainRecord& record, const std::vector<RouteRecord>& before) {
+  // Absent routes weigh 0; a present one never does (weights are 1/N).
+  const auto weight_in = [](const std::vector<RouteRecord>& routes,
+                            RouteId id) {
+    const auto it =
+        std::find_if(routes.begin(), routes.end(),
+                     [id](const RouteRecord& r) { return r.id == id; });
+    return it == routes.end() ? 0.0 : it->weight;
+  };
+  for (const RouteRecord& route : before) {
+    if (weight_in(record.routes, route.id) == 0.0) {
+      add_route_flow(loads_, record, route, -route.weight);
+    }
+  }
+  for (const RouteRecord& route : record.routes) {
+    const double delta = route.weight - weight_in(before, route.id);
+    if (delta != 0.0) add_route_flow(loads_, record, route, delta);
+  }
 }
 
 void GlobalSwitchboard::create_chain(const ChainSpec& spec,
@@ -214,8 +220,7 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
                                       egress.value().value()};
     record.ingress_site = *ingress;
     record.egress_site = *egress;
-    state_.chains.push_back(record);
-    journal_append(journal::Chain{record});
+    write_record(journal::Chain{record});
     report.chain = chain_id;
     report.labels = record.labels;
 
@@ -223,7 +228,7 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
     context_.sim.schedule(
         context_.timings.route_compute,
         fenced([this, chain_id, report, done = std::move(done)]() mutable {
-          ChainRecord* rec = state_.find(chain_id);
+          const ChainRecord* rec = state_.find(chain_id);
           SWB_CHECK(rec != nullptr);
           auto vnf_sites = route_sites(*rec, dp_options_, /*try_lp=*/true,
                                        /*admissible_only=*/true);
@@ -233,13 +238,8 @@ void GlobalSwitchboard::create_chain(const ChainSpec& spec,
                                         "no feasible wide-area route"});
             return;
           }
-          RouteRecord route_record;
-          route_record.id = RouteId{state_.next_route_id++};
-          route_record.weight = 1.0;
-          route_record.vnf_sites = std::move(*vnf_sites);
-          report.route = route_record.id;
-          commit_route(*rec, std::move(route_record), std::move(report),
-                       std::move(done), {}, 0);
+          commit_route(chain_id, std::move(*vnf_sites), /*prepare_weight=*/1.0,
+                       std::move(report), std::move(done), {}, 0);
         }));
   }));
 }
@@ -256,20 +256,17 @@ sim::Duration rpc_backoff(const ControlTimings& timings,
 }  // namespace
 
 void GlobalSwitchboard::commit_route(
-    ChainRecord& record, RouteRecord route, CreationReport report,
-    CreationCallback done,
+    ChainId chain_id, std::vector<SiteId> vnf_sites, double prepare_weight,
+    CreationReport report, CreationCallback done,
     std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
     std::size_t attempt) {
-  const ChainId chain_id = record.id;
-
   // Journal the 2PC intent before any participant hears about it: after a
   // crash anywhere in the round, recovery knows this (chain, route, sites)
-  // begun and can re-drive or abort it.  Here and at every append below,
-  // state_ takes the change first: a snapshot cut inside the append must
-  // already hold the record it is positioned after.
-  state_.inflight[{chain_id.value(), route.id.value()}] =
-      ControllerState::Inflight{route.vnf_sites, /*prepared=*/false};
-  journal_append(journal::Begin{chain_id, route.id, route.vnf_sites});
+  // begun and can re-drive or abort it.  Applying the begin allocates the
+  // route id.
+  const journal::Round round{chain_id, RouteId{state_.next_route_id}};
+  report.route = round.route;
+  write_record(journal::Begin{chain_id, round.route, std::move(vnf_sites)});
 
   // Two-phase commit, prepare round: parallel RPCs to each VNF controller
   // (round trip + processing).
@@ -277,22 +274,24 @@ void GlobalSwitchboard::commit_route(
                                       context_.timings.controller_processing;
   context_.sim.schedule(
       prepare_delay,
-      fenced([this, chain_id, route, report, done = std::move(done),
+      fenced([this, round, prepare_weight, report, done = std::move(done),
               excluded, attempt]() mutable {
-        start_prepare_round(chain_id, std::move(route), std::move(report),
+        start_prepare_round(round, prepare_weight, std::move(report),
                             std::move(done), std::move(excluded), attempt,
                             /*rpc_retry=*/0);
       }));
 }
 
 void GlobalSwitchboard::start_prepare_round(
-    ChainId chain_id, RouteRecord route, CreationReport report,
+    journal::Round round, double prepare_weight, CreationReport report,
     CreationCallback done,
     std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
     std::size_t attempt, std::size_t rpc_retry) {
-  ChainRecord* rec = state_.find(chain_id);
-  SWB_CHECK(rec != nullptr);
-  const model::Chain& chain = context_.model.chain(chain_id);
+  const ChainRecord* rec = state_.find(round.chain);
+  const auto inflight =
+      state_.inflight.find({round.chain.value(), round.route.value()});
+  SWB_CHECK(rec != nullptr && inflight != state_.inflight.end());
+  const model::Chain& chain = context_.model.chain(round.chain);
 
   // Parallel prepares: collect a vote from every reachable participant; a
   // down controller answers nothing and leaves a timeout.  Re-delivered
@@ -303,7 +302,7 @@ void GlobalSwitchboard::start_prepare_round(
   std::set<std::uint32_t> prepared_vnfs;
   for (std::size_t z = 1; z <= rec->spec.vnfs.size(); ++z) {
     const VnfId vnf = rec->spec.vnfs[z - 1];
-    const SiteId site = route.vnf_sites[z - 1];
+    const SiteId site = inflight->second.vnf_sites[z - 1];
     VnfController* controller = vnf_controllers_[vnf.value()];
     SWB_CHECK(controller != nullptr);
     if (!controller->up()) {
@@ -313,8 +312,9 @@ void GlobalSwitchboard::start_prepare_round(
     const double load =
         context_.model.vnf(vnf).load_per_unit *
         (chain.stage_traffic(z) + chain.stage_traffic(z + 1)) *
-        route.weight;
-    if (controller->prepare(chain_id, route.id, site, load, z, state_.epoch)) {
+        prepare_weight;
+    if (controller->prepare(round.chain, round.route, site, load, z,
+                            state_.epoch)) {
       prepared_vnfs.insert(vnf.value());
     } else {
       all_prepared = false;
@@ -327,10 +327,9 @@ void GlobalSwitchboard::start_prepare_round(
     // Abort the reservations made so far and recompute with the
     // rejecting placement excluded (Section 3, chain creation).
     for (const std::uint32_t vnf : prepared_vnfs) {
-      vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
+      vnf_controllers_[vnf]->abort(round.chain, round.route, state_.epoch);
     }
-    state_.inflight.erase({chain_id.value(), route.id.value()});
-    journal_append(journal::Abort{{chain_id, route.id}});
+    write_record(journal::Abort{round});
     excluded.insert(rejected);
     report.events.push_back({"route_rejected", context_.sim.now()});
     if (attempt + 1 >= 4) {
@@ -341,9 +340,9 @@ void GlobalSwitchboard::start_prepare_round(
     }
     context_.sim.schedule(
         context_.timings.route_compute,
-        fenced([this, chain_id, report, done = std::move(done), excluded,
-                attempt]() mutable {
-          ChainRecord* rec2 = state_.find(chain_id);
+        fenced([this, chain_id = round.chain, report, done = std::move(done),
+                excluded, attempt]() mutable {
+          const ChainRecord* rec2 = state_.find(chain_id);
           SWB_CHECK(rec2 != nullptr);
           te::DpOptions options = dp_options_;
           options.site_allowed = [excluded](VnfId vnf, SiteId site) {
@@ -358,13 +357,9 @@ void GlobalSwitchboard::start_prepare_round(
                                         "rejection"});
             return;
           }
-          RouteRecord route_record;
-          route_record.id = RouteId{state_.next_route_id++};
-          route_record.weight = 1.0;
-          route_record.vnf_sites = std::move(*vnf_sites);
-          report.route = route_record.id;
-          commit_route(*rec2, std::move(route_record), std::move(report),
-                       std::move(done), std::move(excluded), attempt + 1);
+          commit_route(chain_id, std::move(*vnf_sites), /*prepare_weight=*/1.0,
+                       std::move(report), std::move(done),
+                       std::move(excluded), attempt + 1);
         }));
     return;
   }
@@ -374,14 +369,13 @@ void GlobalSwitchboard::start_prepare_round(
     // entry; the round retries with bounded exponential backoff.
     report.events.push_back({"prepare_timeout", context_.sim.now()});
     if (rpc_retry >= context_.timings.max_rpc_retries) {
-      SB_LOG(kWarn) << "2pc: prepare for chain " << chain_id << " route "
-                    << route.id << " gave up after " << rpc_retry
+      SB_LOG(kWarn) << "2pc: prepare for chain " << round.chain << " route "
+                    << round.route << " gave up after " << rpc_retry
                     << " retries";
       for (const std::uint32_t vnf : prepared_vnfs) {
-        vnf_controllers_[vnf]->abort(chain_id, route.id, state_.epoch);
+        vnf_controllers_[vnf]->abort(round.chain, round.route, state_.epoch);
       }
-      state_.inflight.erase({chain_id.value(), route.id.value()});
-      journal_append(journal::Abort{{chain_id, route.id}});
+      write_record(journal::Abort{round});
       done(Result<CreationReport>{
           ErrorCode::kUnavailable,
           "2PC prepare: participant unreachable after retries"});
@@ -390,9 +384,9 @@ void GlobalSwitchboard::start_prepare_round(
     context_.sim.schedule(
         context_.timings.rpc_timeout + rpc_backoff(context_.timings,
                                                    rpc_retry),
-        fenced([this, chain_id, route, report, done = std::move(done),
+        fenced([this, round, prepare_weight, report, done = std::move(done),
                 excluded, attempt, rpc_retry]() mutable {
-          start_prepare_round(chain_id, std::move(route), std::move(report),
+          start_prepare_round(round, prepare_weight, std::move(report),
                               std::move(done), std::move(excluded), attempt,
                               rpc_retry + 1);
         }));
@@ -403,45 +397,42 @@ void GlobalSwitchboard::start_prepare_round(
   // Every participant voted yes: journal it so a crash from here on
   // re-drives the commit round instead of aborting (participants may have
   // already committed by then; re-commits are idempotent).
-  state_.inflight[{chain_id.value(), route.id.value()}].prepared = true;
-  journal_append(journal::Prep{{chain_id, route.id}});
+  write_record(journal::Prep{round});
 
   // Commit round — behind the quorum barrier: with replication on, the
   // prep record must be durable on a quorum before any participant hears
   // commit, or a failed-over leader could abort a round whose
   // participants already committed.
-  after_quorum(fenced([this, chain_id, route = std::move(route),
-                       report = std::move(report),
+  after_quorum(fenced([this, round, report = std::move(report),
                        done = std::move(done)]() mutable {
     context_.sim.schedule(
         context_.timings.controller_rpc +
             context_.timings.controller_processing,
-        fenced([this, chain_id, route = std::move(route),
-                report = std::move(report), done = std::move(done)]() mutable {
-          start_commit_round(chain_id, std::move(route), std::move(report),
-                             std::move(done), /*rpc_retry=*/0);
+        fenced([this, round, report = std::move(report),
+                done = std::move(done)]() mutable {
+          start_commit_round(round, std::move(report), std::move(done),
+                             /*rpc_retry=*/0);
         }));
   }));
 }
 
-void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
+void GlobalSwitchboard::start_commit_round(journal::Round round,
                                            CreationReport report,
                                            CreationCallback done,
                                            std::size_t rpc_retry) {
-  ChainRecord* rec2 = state_.find(chain_id);
-  SWB_CHECK(rec2 != nullptr);
+  const ChainRecord* rec = state_.find(round.chain);
+  SWB_CHECK(rec != nullptr);
 
   // Commits to reachable participants; re-delivery on retry is idempotent
   // (kCommitted -> kCommitted, no reservations left to move).
   bool timed_out = false;
-  for (std::size_t z = 1; z <= rec2->spec.vnfs.size(); ++z) {
-    const VnfId vnf = rec2->spec.vnfs[z - 1];
+  for (const VnfId vnf : rec->spec.vnfs) {
     VnfController* controller = vnf_controllers_[vnf.value()];
     if (!controller->up()) {
       timed_out = true;
       continue;
     }
-    controller->commit(chain_id, route.id, rec2->labels.egress_site,
+    controller->commit(round.chain, round.route, rec->labels.egress_site,
                        state_.epoch);
   }
 
@@ -451,25 +442,22 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
       // Roll the route back: reachable participants get abort (rejected-
       // and-counted where already committed) and release their committed
       // capacity; unreachable ones recover via the reservation TTL GC.
-      SB_LOG(kWarn) << "2pc: commit for chain " << chain_id << " route "
-                    << route.id << " gave up after " << rpc_retry
+      SB_LOG(kWarn) << "2pc: commit for chain " << round.chain << " route "
+                    << round.route << " gave up after " << rpc_retry
                     << " retries";
       // Journal the abort and make it quorum-durable BEFORE releasing the
       // participants: an abort the standbys never saw would make a
       // failed-over leader re-drive this prepared round against
       // participants that already rolled back.
-      state_.inflight.erase({chain_id.value(), route.id.value()});
-      journal_append(journal::Abort{{chain_id, route.id}});
-      after_quorum(fenced([this, chain_id, route_id = route.id,
-                           done = std::move(done)]() mutable {
-        const ChainRecord* rec3 = find_record(chain_id);
+      write_record(journal::Abort{round});
+      after_quorum(fenced([this, round, done = std::move(done)]() mutable {
+        const ChainRecord* rec3 = state_.find(round.chain);
         SWB_CHECK(rec3 != nullptr);
-        for (std::size_t z = 1; z <= rec3->spec.vnfs.size(); ++z) {
-          VnfController* controller =
-              vnf_controllers_[rec3->spec.vnfs[z - 1].value()];
+        for (const VnfId vnf : rec3->spec.vnfs) {
+          VnfController* controller = vnf_controllers_[vnf.value()];
           if (!controller->up()) continue;
-          controller->abort(chain_id, route_id, state_.epoch);
-          controller->release(chain_id, route_id, state_.epoch);
+          controller->abort(round.chain, round.route, state_.epoch);
+          controller->release(round.chain, round.route, state_.epoch);
         }
         done(Result<CreationReport>{
             ErrorCode::kUnavailable,
@@ -480,66 +468,58 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
     context_.sim.schedule(
         context_.timings.rpc_timeout + rpc_backoff(context_.timings,
                                                    rpc_retry),
-        fenced([this, chain_id, route, report, done = std::move(done),
+        fenced([this, round, report, done = std::move(done),
                 rpc_retry]() mutable {
-          start_commit_round(chain_id, std::move(route), std::move(report),
-                             std::move(done), rpc_retry + 1);
+          start_commit_round(round, std::move(report), std::move(done),
+                             rpc_retry + 1);
         }));
     return;
   }
   report.events.push_back({"committed", context_.sim.now()});
 
-  // Apply to memory synchronously with the append — a snapshot cut inside
-  // it, or while the quorum barrier below is pending, must already reflect
-  // this commit, or its log truncation would lose the route.
-  state_.inflight.erase({chain_id.value(), route.id.value()});
+  // The commit record moves the placement into the chain's routes and
+  // rebalances the weights to 1/N (Fig. 10: the new route takes an even
+  // share of new connections); loads follow by the chain's weight deltas
+  // instead of a full rebuild over every active chain.  From here the
+  // round is durable-committed: replay re-applies the route and recovery
+  // re-drives participant commits if needed.
   ensure_loads_current();
-  rec2->routes.push_back(route);
-  // Route weights rebalance equally (Fig. 10: the new route takes
-  // an even share of new connections).  Loads are adjusted by the
-  // per-route weight deltas instead of a full rebuild over every
-  // active chain.
-  const double weight = 1.0 / static_cast<double>(rec2->routes.size());
-  const bool was_active = rec2->active;
-  rec2->active = true;
-  for (std::size_t i = 0; i < rec2->routes.size(); ++i) {
-    RouteRecord& r = rec2->routes[i];
-    const bool is_new = i + 1 == rec2->routes.size();
-    const double previous = was_active && !is_new ? r.weight : 0.0;
-    apply_route_loads(*rec2, r, weight - previous);
-    r.weight = weight;
+  const std::vector<RouteRecord> before = rec->routes;
+  write_record(journal::Commit{round});
+  apply_weight_deltas(*rec, before);
+  std::set<std::uint32_t> waiting_sites{rec->ingress_site.value(),
+                                        rec->egress_site.value()};
+  for (const SiteId site : rec->routes.back().vnf_sites) {
+    waiting_sites.insert(site.value());
   }
-  // The round is durable-committed from this point: replay re-applies the
-  // route and recovery re-drives participant commits if needed.
-  journal_append(journal::Commit{{chain_id, route.id}});
 
   // Acknowledgment — behind the quorum barrier: routes are published,
   // edge instances announced, readiness tracked, and `done` armed only
   // once a quorum of replicas has the commit record durable.  The record
   // is re-found inside the resume: state_.chains may reallocate while the
   // barrier is pending.
-  after_quorum(fenced([this, chain_id, route = std::move(route),
+  after_quorum(fenced([this, round, waiting_sites = std::move(waiting_sites),
                        report = std::move(report),
                        done = std::move(done)]() mutable {
-    ChainRecord* rec = state_.find(chain_id);
-    SWB_CHECK(rec != nullptr);
+    const ChainRecord* rec2 = state_.find(round.chain);
+    SWB_CHECK(rec2 != nullptr);
 
-    publish_routes(*rec);
+    publish_routes(*rec2);
     report.events.push_back({"routes_published", context_.sim.now()});
 
     // Edge controllers allocate + announce instances (Fig. 4 step 4).
-    edge_controllers_[rec->spec.ingress_service.value()]
-        ->announce_edge_instance(chain_id, rec->labels.egress_site,
-                                 rec->ingress_site);
-    edge_controllers_[rec->spec.egress_service.value()]
-        ->announce_edge_instance(chain_id, rec->labels.egress_site,
-                                 rec->egress_site);
+    edge_controllers_[rec2->spec.ingress_service.value()]
+        ->announce_edge_instance(round.chain, rec2->labels.egress_site,
+                                 rec2->ingress_site);
+    edge_controllers_[rec2->spec.egress_service.value()]
+        ->announce_edge_instance(round.chain, rec2->labels.egress_site,
+                                 rec2->egress_site);
 
     // Track readiness of every involved site.
     PendingActivation pending;
-    pending.chain = chain_id;
-    pending.route = route.id;
-    pending.waiting_sites = involved_sites(*rec, route);
+    pending.chain = round.chain;
+    pending.route = round.route;
+    pending.waiting_sites = std::move(waiting_sites);
     pending.report = std::move(report);
     pending.done = std::move(done);
     pending_.push_back(std::move(pending));
@@ -552,7 +532,7 @@ void GlobalSwitchboard::start_commit_round(ChainId chain_id, RouteRecord route,
 void GlobalSwitchboard::add_route(ChainId chain,
                                   const std::vector<SiteId>& preferred_vnf_sites,
                                   CreationCallback done) {
-  ChainRecord* rec = state_.find(chain);
+  const ChainRecord* rec = state_.find(chain);
   if (rec == nullptr || !rec->active) {
     context_.sim.schedule(0, [done = std::move(done)] {
       done(Result<CreationReport>{ErrorCode::kNotFound,
@@ -571,35 +551,35 @@ void GlobalSwitchboard::add_route(ChainId chain,
       context_.timings.route_compute,
       fenced([this, chain, preferred_vnf_sites, report,
               done = std::move(done)]() mutable {
-        ChainRecord* rec2 = state_.find(chain);
+        const ChainRecord* rec2 = state_.find(chain);
         SWB_CHECK(rec2 != nullptr);
-        RouteRecord route_record;
-        route_record.id = RouteId{state_.next_route_id++};
-        // The new route takes an equal share of traffic.
-        route_record.weight =
+        // The new route prepares an equal share of traffic.
+        const double prepare_weight =
             1.0 / static_cast<double>(rec2->routes.size() + 1);
-        if (!preferred_vnf_sites.empty()) {
-          if (preferred_vnf_sites.size() != rec2->spec.vnfs.size()) {
-            done(Result<CreationReport>{ErrorCode::kInvalidArgument,
-                                        "preferred sites must cover every "
-                                        "VNF in the chain"});
-            return;
-          }
-          route_record.vnf_sites = preferred_vnf_sites;
-        } else {
-          auto vnf_sites = route_sites(*rec2, dp_options_, /*try_lp=*/true,
-                                       /*admissible_only=*/false);
-          if (!vnf_sites) {
+        std::vector<SiteId> vnf_sites = preferred_vnf_sites;
+        if (vnf_sites.empty()) {
+          auto computed = route_sites(*rec2, dp_options_, /*try_lp=*/true,
+                                      /*admissible_only=*/false);
+          if (!computed) {
             done(Result<CreationReport>{ErrorCode::kInfeasible,
                                         "no feasible additional route"});
             return;
           }
-          route_record.vnf_sites = std::move(*vnf_sites);
+          vnf_sites = std::move(*computed);
+        } else if (vnf_sites.size() != rec2->spec.vnfs.size() ||
+                   std::any_of(vnf_sites.begin(), vnf_sites.end(),
+                               [this](SiteId site) {
+                                 return site.value() >=
+                                        context_.model.sites().size();
+                               })) {
+          done(Result<CreationReport>{ErrorCode::kInvalidArgument,
+                                      "preferred sites must name one "
+                                      "in-range site per VNF"});
+          return;
         }
         report.events.push_back({"route_computed", context_.sim.now()});
-        report.route = route_record.id;
-        commit_route(*rec2, std::move(route_record), std::move(report),
-                     std::move(done), {}, 0);
+        commit_route(chain, std::move(vnf_sites), prepare_weight,
+                     std::move(report), std::move(done), {}, 0);
       }));
 }
 
@@ -671,13 +651,9 @@ RecoveryReport GlobalSwitchboard::on_instance_down(VnfId vnf, SiteId site) {
   // Remember the healthy capacity (first report only — a site death fans
   // out one report per pool, and repeats must not save the zeroed value)
   // so on_instance_up can undo the zeroing, across crashes.
-  const auto pool = std::make_pair(vnf.value(), site.value());
-  if (state_.dead_pools.find(pool) == state_.dead_pools.end()) {
+  if (state_.dead_pools.count({vnf.value(), site.value()}) == 0) {
     const double capacity = context_.model.vnf(vnf).capacity_at(site);
-    if (capacity > 0.0) {
-      state_.dead_pools[pool] = capacity;
-      journal_append(journal::PoolDown{vnf, site, capacity});
-    }
+    if (capacity > 0.0) write_record(journal::PoolDown{vnf, site, capacity});
   }
   // The dead pool contributes no capacity until restored: route
   // computation (replacements and future chains) avoids the site, and a
@@ -747,15 +723,17 @@ RecoveryReport GlobalSwitchboard::retire_routes(
         doomed) {
   RecoveryReport report;
   ensure_loads_current();
-  for (ChainRecord& record : state_.chains) {
+  for (const ChainRecord& record : state_.chains) {
     if (!record.active) continue;
+    const std::vector<RouteRecord> before = record.routes;
     std::vector<RouteRecord> removed;
-    for (const RouteRecord& route : record.routes) {
+    for (const RouteRecord& route : before) {
       if (doomed(record, route)) removed.push_back(route);
     }
     if (removed.empty()) continue;
     ++report.affected_chains;
 
+    std::vector<CreationCallback> stranded;
     for (const RouteRecord& route : removed) {
       ++report.routes_removed;
       report.rerouted_volume +=
@@ -778,42 +756,37 @@ RecoveryReport GlobalSwitchboard::retire_routes(
           controller->release(record.id, route.id, state_.epoch);
         }
       }
-      std::erase_if(record.routes, [&](const RouteRecord& r) {
-        return r.id == route.id;
-      });
-      journal_append(journal::Retire{{record.id, route.id}});
-      apply_route_loads(record, route, -route.weight);
+      // The retire record drops the route; survivors split the chain's
+      // traffic evenly again, and a chain left with none deactivates.
+      write_record(journal::Retire{{record.id, route.id}});
 
       // A failure racing activation: complete the waiting creation with an
       // error instead of leaving it stranded forever.
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i].chain != record.id || pending_[i].route != route.id) {
-          continue;
-        }
-        CreationCallback stranded = std::move(pending_[i].done);
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        if (stranded) {
-          stranded(Result<CreationReport>{
-              ErrorCode::kUnavailable,
-              "route retired by failure recovery during activation"});
-        }
-        break;
+      const auto waiting = std::find_if(
+          pending_.begin(), pending_.end(), [&](const PendingActivation& p) {
+            return p.chain == record.id && p.route == route.id;
+          });
+      if (waiting != pending_.end()) {
+        stranded.push_back(std::move(waiting->done));
+        pending_.erase(waiting);
+      }
+    }
+    // Only the affected chain's load deltas are applied (incremental
+    // re-solve), before any stranded creation hears of the retirement.
+    apply_weight_deltas(record, before);
+    for (CreationCallback& done : stranded) {
+      if (done) {
+        done(Result<CreationReport>{
+            ErrorCode::kUnavailable,
+            "route retired by failure recovery during activation"});
       }
     }
 
-    if (!record.routes.empty()) {
-      // Survivors split the chain's traffic evenly again; only the
-      // affected chain's load deltas are applied (incremental re-solve).
-      const double weight = 1.0 / static_cast<double>(record.routes.size());
-      for (RouteRecord& route : record.routes) {
-        apply_route_loads(record, route, weight - route.weight);
-        route.weight = weight;
-      }
+    if (record.active) {
       publish_routes(record);
     } else {
-      // The failure took the chain's last route: deactivate and request a
-      // replacement through the normal compute + 2PC pipeline.
-      record.active = false;
+      // The failure took the chain's last route: request a replacement
+      // through the normal compute + 2PC pipeline.
       ++report.replacements_requested;
       replace_route(record.id);
     }
@@ -835,7 +808,7 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
   report.events.push_back({"replacement_requested", context_.sim.now()});
   context_.sim.schedule(
       context_.timings.route_compute, fenced([this, chain, report]() mutable {
-        ChainRecord* rec = state_.find(chain);
+        const ChainRecord* rec = state_.find(chain);
         SWB_CHECK(rec != nullptr);
         report.labels = rec->labels;
         auto vnf_sites = route_sites(*rec, dp_options_, /*try_lp=*/true,
@@ -846,12 +819,8 @@ void GlobalSwitchboard::replace_route(ChainId chain) {
                         << "chain " << chain;
           return;
         }
-        RouteRecord route_record;
-        route_record.id = RouteId{state_.next_route_id++};
-        route_record.weight = 1.0;
-        route_record.vnf_sites = std::move(*vnf_sites);
-        report.route = route_record.id;
-        commit_route(*rec, std::move(route_record), std::move(report),
+        commit_route(chain, std::move(*vnf_sites), /*prepare_weight=*/1.0,
+                     std::move(report),
                      [chain](Result<CreationReport> result) {
                        if (result.ok()) {
                          SB_LOG(kInfo)
@@ -903,7 +872,11 @@ void GlobalSwitchboard::enable_durability(StateJournal* journal) {
   journal_->write_snapshot(state_.encode_snapshot());
 }
 
-void GlobalSwitchboard::journal_append(const JournalRecord& record) {
+void GlobalSwitchboard::write_record(const JournalRecord& record) {
+  const Status applied = state_.apply(record);
+  SWB_CHECK(applied.ok()) << "coordinator record does not apply: "
+                          << encode(record) << ": "
+                          << applied.error().to_string();
   if (journal_ == nullptr) return;
   const std::string line = encode(record);
   journal_->append(line);
@@ -990,10 +963,9 @@ ColdStartReport GlobalSwitchboard::restart_with(
   // The new incarnation outranks everything the journal has seen; persist
   // the bump so a second crash recovers a still-higher epoch.
   report.replay_cost = charged_replay_cost;
-  ++state_.epoch;
   up_ = true;
+  write_record(journal::Epoch{state_.epoch + 1});
   report.epoch = state_.epoch;
-  journal_append(journal::Epoch{state_.epoch});
   last_cold_start_ = report;
 
   // Charge the replay as simulated downtime, then resolve what the crash
@@ -1021,16 +993,12 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
       ++last_cold_start_.redriven_commits;
       SB_LOG(kInfo) << "durability: re-driving commit for chain " << chain
                     << " route " << route_id;
-      RouteRecord route;
-      route.id = route_id;
-      route.vnf_sites = round.vnf_sites;
-      route.weight = 1.0;
       CreationReport report;
       report.started = context_.sim.now();
       report.chain = chain;
       report.route = route_id;
       start_commit_round(
-          chain, std::move(route), std::move(report),
+          journal::Round{chain, route_id}, std::move(report),
           [chain, route_id](Result<CreationReport> result) {
             if (result.ok()) {
               SB_LOG(kInfo) << "durability: re-driven commit active for "
@@ -1055,8 +1023,7 @@ void GlobalSwitchboard::resolve_inflight_and_reconcile() {
           }
         }
       }
-      state_.inflight.erase(key);
-      journal_append(journal::Abort{{chain, route_id}});
+      write_record(journal::Abort{{chain, route_id}});
     }
   }
 
@@ -1106,8 +1073,7 @@ void GlobalSwitchboard::on_instance_up(VnfId vnf, SiteId site) {
   SB_LOG(kInfo) << "recovery: vnf " << vnf << " back up at site " << site
                 << ", restoring capacity " << it->second;
   context_.model.set_vnf_site_capacity(vnf, site, it->second);
-  state_.dead_pools.erase(it);
-  journal_append(journal::PoolUp{vnf, site});
+  write_record(journal::PoolUp{vnf, site});
   // Re-announce the pool so Local Switchboards rebalance onto it — behind
   // the quorum barrier, like the pool-down drain.
   after_quorum(fenced([this, vnf, site] {

@@ -11,8 +11,10 @@
 // machinery and rebalances route weights.
 //
 // Durability (DESIGN.md §13): the journaled part of the coordinator is a
-// ControllerState; with enable_durability() every change to it is written
-// through a control::StateJournal as a typed JournalRecord.  After a
+// ControllerState, and every live change to it is one typed JournalRecord
+// that write_record() applies through ControllerState::apply — the same
+// interpreter replay and the standbys run — and then, with
+// enable_durability(), appends to a control::StateJournal.  After a
 // crash-with-amnesia, cold_start() replays it (warm_failover() adopts a
 // standby's), bumps the incarnation epoch that fences the previous one's
 // commands everywhere, re-drives prepared 2PC rounds, aborts unprepared
@@ -244,9 +246,12 @@ class GlobalSwitchboard {
     };
   }
 
-  /// Runs 2PC for a route, then publishes and tracks readiness.
-  void commit_route(ChainRecord& record, RouteRecord route,
-                    CreationReport report, CreationCallback done,
+  /// Begins a 2PC round placing `vnf_sites` under the next route id, runs
+  /// it (each participant reserves `prepare_weight` of the chain's stage
+  /// traffic), then publishes and tracks readiness.
+  void commit_route(ChainId chain, std::vector<SiteId> vnf_sites,
+                    double prepare_weight, CreationReport report,
+                    CreationCallback done,
                     std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
                     std::size_t attempt);
 
@@ -256,8 +261,9 @@ class GlobalSwitchboard {
   /// already-prepared participants dedup the re-delivered prepare.  After
   /// `ControlTimings::max_rpc_retries` timeouts the round aborts
   /// (kUnavailable) and releases the partial reservations.
+  /// The round's placement is read from state_.inflight.
   void start_prepare_round(
-      ChainId chain, RouteRecord route, CreationReport report,
+      journal::Round round, double prepare_weight, CreationReport report,
       CreationCallback done,
       std::set<std::pair<std::uint32_t, std::uint32_t>> excluded,
       std::size_t attempt, std::size_t rpc_retry);
@@ -266,13 +272,12 @@ class GlobalSwitchboard {
   /// commits are idempotent at the participant.  On retry exhaustion the
   /// route rolls back: reachable participants get abort (rejected-and-
   /// counted where already committed) + release.
-  void start_commit_round(ChainId chain, RouteRecord route,
-                          CreationReport report, CreationCallback done,
-                          std::size_t rpc_retry);
+  void start_commit_round(journal::Round round, CreationReport report,
+                          CreationCallback done, std::size_t rpc_retry);
 
   /// Shared recovery walk: retires every active route matched by `doomed`
-  /// (tombstone, release, negative load delta, pending-activation
-  /// cancellation), rebalances survivors, requests replacements.
+  /// (tombstone, release, pending-activation cancellation), applies the
+  /// chain's load deltas, re-publishes survivors, requests replacements.
   RecoveryReport retire_routes(
       const std::function<bool(const ChainRecord&, const RouteRecord&)>&
           doomed);
@@ -297,11 +302,11 @@ class GlobalSwitchboard {
   void publish_routes(const ChainRecord& record);
 
   // --- load accounting ----------------------------------------------------
-  // loads_ is maintained incrementally: committing a route applies only
-  // that chain's weight deltas (apply_route_loads) instead of re-walking
-  // every active chain.  A full rebuild happens once, and again only when
-  // the model's element counts change under us (late VNF/site/topology
-  // registration), detected by ensure_loads_current().
+  // loads_ is maintained incrementally: committing or retiring a route
+  // applies only that chain's weight deltas (apply_weight_deltas) instead
+  // of re-walking every active chain.  A full rebuild happens once, and
+  // again only when the model's element counts change under us (late
+  // VNF/site/topology registration), detected by ensure_loads_current().
   struct ModelShape {
     std::size_t links{0};
     std::size_t sites{0};
@@ -318,19 +323,22 @@ class GlobalSwitchboard {
   /// Adds `weight` of one route's stage traffic to `loads`.
   void add_route_flow(te::Loads& loads, const ChainRecord& record,
                       const RouteRecord& route, double weight) const;
-  /// Adds `weight_delta` of one route's traffic to loads_.
-  void apply_route_loads(const ChainRecord& record, const RouteRecord& route,
-                         double weight_delta);
+  /// Moves loads_ from `before` (the chain's routes ahead of a batch of
+  /// records) to `record`'s routes now: removed routes at -old, then each
+  /// route in order at new - old.
+  void apply_weight_deltas(const ChainRecord& record,
+                           const std::vector<RouteRecord>& before);
   [[nodiscard]] RouteAnnouncement to_announcement(const ChainRecord& record,
                                                   const RouteRecord& route)
       const;
-  [[nodiscard]] std::set<std::uint32_t> involved_sites(
-      const ChainRecord& record, const RouteRecord& route) const;
 
   // --- durability internals ----------------------------------------------
-  /// Appends one record; notifies the journal observer; compacts into a
-  /// snapshot when the journal asks (or defers to the compaction gate).
-  void journal_append(const JournalRecord& record);
+  /// The one write path into state_ (restart_with's adoption aside):
+  /// applies `record` — a misfit is a coordinator bug and aborts — then
+  /// appends it (so a snapshot cut inside the append already holds it),
+  /// notifies the journal observer, and compacts into a snapshot when the
+  /// journal asks (or defers to the compaction gate).
+  void write_record(const JournalRecord& record);
   /// Runs `resume` behind the quorum gate when one is set, synchronously
   /// otherwise (single-controller mode keeps its exact pre-replication
   /// timing).  Callers epoch-guard inside `resume`.

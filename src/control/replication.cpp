@@ -644,6 +644,8 @@ void ReplicaGroup::verify_convergence() const {
   const swb::MutexLock lock{mutex_};
   SWB_CHECK_EQ(divergences_, 0u) << "replica digests diverged mid-run";
   const Replica& lead = replicas_[leader_];
+  const std::vector<std::string> leader_state =
+      global_.state().encode_snapshot();
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     const Replica& replica = replicas_[r];
     if (r == leader_) continue;   // the coordinator audits its own state
@@ -658,6 +660,10 @@ void ReplicaGroup::verify_convergence() const {
     // count from the install set while the leader's keeps its history.
     SWB_CHECK_EQ(replica.digest, lead.digest)
         << "caught-up replica " << r << " diverged from the leader";
+    // Equal streams must also mean equal states: the coordinator's live
+    // writes and the follower's applies are checked against each other.
+    SWB_CHECK(replica.state.encode_snapshot() == leader_state)
+        << "caught-up replica " << r << " holds a state the leader does not";
   }
 }
 

@@ -185,8 +185,9 @@ class ReplicaGroup {
   }
 
   /// Divergence verifier for quiescent barriers and post-failover checks:
-  /// every live, caught-up replica's digest must equal the leader's, and
-  /// every follower state audits clean.  Aborts via SWB_CHECK on violation.
+  /// every live, caught-up replica's digest and encoded state must equal
+  /// the leader's, and every follower state audits clean.  Aborts via
+  /// SWB_CHECK on violation.
   void verify_convergence() const;
   /// Audits group state (aborts via SWB_CHECK): leader is live or awaiting
   /// election, quorum within bounds, acked positions never ahead of the

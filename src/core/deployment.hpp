@@ -76,6 +76,11 @@ class Deployment {
   [[nodiscard]] control::LocalSwitchboard& local(SiteId site);
   [[nodiscard]] control::VnfController& vnf_controller(VnfId vnf);
   [[nodiscard]] control::EdgeController& edge_controller(EdgeServiceId id);
+  /// The id ranges local() and edge_controller() accept.
+  [[nodiscard]] std::size_t site_count() const { return locals_.size(); }
+  [[nodiscard]] std::size_t edge_service_count() const {
+    return edge_controllers_.size();
+  }
   [[nodiscard]] const DeploymentConfig& config() const { return config_; }
   [[nodiscard]] sim::FaultInjector& fault_injector() { return faults_; }
   [[nodiscard]] control::FailureDetector& failure_detector() {

@@ -61,6 +61,14 @@ Result<control::CreationReport> Middleware::add_route(
 
 Result<control::EdgeAdditionTrace> Middleware::attach_edge(
     ChainId chain, SiteId site, EdgeServiceId edge_service) {
+  if (site.value() >= deployment_.site_count()) {
+    return Result<control::EdgeAdditionTrace>{ErrorCode::kInvalidArgument,
+                                              "site out of range"};
+  }
+  if (edge_service.value() >= deployment_.edge_service_count()) {
+    return Result<control::EdgeAdditionTrace>{ErrorCode::kInvalidArgument,
+                                              "edge service not registered"};
+  }
   // The edge service brings up an instance at the new site, then the
   // Local Switchboard stitches it into the nearest route.
   const dataplane::ElementId edge_instance =

@@ -41,11 +41,14 @@ class Middleware {
   [[nodiscard]] Result<control::CreationReport> create_chain(
       const control::ChainSpec& spec);
 
-  /// Adds a wide-area route to an active chain (Fig. 10).
+  /// Adds a wide-area route to an active chain (Fig. 10).  Non-empty
+  /// `preferred_vnf_sites` must name one in-range site per VNF stage, or
+  /// the call returns kInvalidArgument with nothing journaled.
   [[nodiscard]] Result<control::CreationReport> add_route(
       ChainId chain, const std::vector<SiteId>& preferred_vnf_sites = {});
 
-  /// Extends the chain to a new edge site (mobility, Table 2).
+  /// Extends the chain to a new edge site (mobility, Table 2).  An
+  /// out-of-range site or an unregistered edge service is kInvalidArgument.
   [[nodiscard]] Result<control::EdgeAdditionTrace> attach_edge(
       ChainId chain, SiteId site, EdgeServiceId edge_service);
 

@@ -153,6 +153,16 @@ TEST(ChaosSchedule, EveryOutageHealsBeforeTheHorizon) {
   EXPECT_FALSE(faults.is_down("controller:global"));
 }
 
+/// The live coordinator state must be exactly what its own journal
+/// replays to: the live path and replay share one interpreter.
+void expect_state_matches_journal(core::Deployment& dep) {
+  const auto replayed =
+      control::ControllerState::replay(dep.state_journal()->records());
+  ASSERT_TRUE(replayed.ok()) << replayed.error().to_string();
+  EXPECT_EQ(replayed->encode_snapshot(),
+            dep.global().state().encode_snapshot());
+}
+
 // ------------------------------------------- soak A: amnesia convergence
 
 // Repeated controller crash-with-amnesia plus message drop/duplicate/delay
@@ -219,6 +229,7 @@ TEST(ChaosSoak, AmnesiaUnderMessageChaosConvergesToFaultFreeReference) {
     dep.state_journal()->check_invariants();
     dep.durable_store().check_invariants();
     dep.fault_injector().check_invariants();
+    expect_state_matches_journal(dep);
     if (chaos_on) {
       EXPECT_GT(dep.global().epoch(), 1u)
           << "the chaos plan never crashed the controller";
@@ -319,6 +330,7 @@ TEST(ChaosSoak, FullChaosKeepsInvariantsAndConvergesLive) {
     const auto walk = mw.send(chains[i], tuple(100 + i));
     EXPECT_TRUE(walk.delivered) << walk.failure;
   }
+  expect_state_matches_journal(dep);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -274,6 +275,52 @@ TEST(ChainCreation, InvalidSpecsErrorWithoutJournalingOrAborting) {
 
   // The controller is unharmed: a valid spec still goes through.
   const auto valid = mw.create_chain(fx.make_spec(edge));
+  ASSERT_TRUE(valid.ok()) << valid.error().to_string();
+  EXPECT_GT(journal->appends(), appends);
+}
+
+TEST(ChainCreation, InvalidPortalCallsErrorWithoutJournalingOrAborting) {
+  // Out-of-range sites and unregistered edge services are caller errors
+  // in attach_edge and add_route too: kInvalidArgument, nothing journaled,
+  // the audits stay clean.
+  Fixture fx;
+  core::DeploymentConfig config;
+  config.durable_controller = true;
+  Middleware mw{fx.make_model(), config};
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  Deployment& dep = mw.deployment();
+  const StateJournal* journal = dep.state_journal();
+  ASSERT_NE(journal, nullptr);
+  const auto created = mw.create_chain(fx.make_spec(edge));
+  ASSERT_TRUE(created.ok()) << created.error().to_string();
+  const ChainId chain = created->chain;
+  const std::uint64_t appends = journal->appends();
+  const std::vector<std::string> state = dep.global().state().encode_snapshot();
+
+  const auto status_of = [](const auto& result) {
+    return result.ok() ? Status{} : Status{result.error()};
+  };
+  const std::vector<std::pair<std::string, std::function<Status()>>> calls = {
+      {"attach_edge at an out-of-range site",
+       [&] { return status_of(mw.attach_edge(chain, SiteId{7}, edge)); }},
+      {"attach_edge with an unregistered edge service",
+       [&] {
+         return status_of(mw.attach_edge(chain, fx.site_m, EdgeServiceId{5}));
+       }},
+      {"add_route pinned to an out-of-range site",
+       [&] { return status_of(mw.add_route(chain, {SiteId{99}})); }},
+  };
+  for (const auto& [name, call] : calls) {
+    const Status result = call();
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument) << name;
+    EXPECT_EQ(journal->appends(), appends) << name;
+    EXPECT_EQ(dep.global().state().encode_snapshot(), state) << name;
+    dep.global().check_invariants();
+  }
+
+  // The controller is unharmed: a valid route still goes through.
+  const auto valid = mw.add_route(chain, {fx.site_b});
   ASSERT_TRUE(valid.ok()) << valid.error().to_string();
   EXPECT_GT(journal->appends(), appends);
 }

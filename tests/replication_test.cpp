@@ -167,6 +167,37 @@ TEST(Replication, StreamingKeepsHotStandbysConvergent) {
   dep.stop_replication();
 }
 
+TEST(Replication, FailedAddRouteLeavesNoAllocatorGap) {
+  // A rejected add_route allocates nothing: the leader's route-id
+  // allocator stays where its followers and its own journal replay say.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  const auto created = mw.create_chain(make_span_spec(edge, fw, "c"));
+  ASSERT_TRUE(created.ok()) << created.error().to_string();
+  const auto added =
+      mw.add_route(created->chain, {SiteId{1}, SiteId{2}});   // 1 VNF
+  ASSERT_FALSE(added.ok());
+  EXPECT_EQ(added.error().code, ErrorCode::kInvalidArgument);
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+
+  const std::vector<std::string> leader =
+      dep.global().state().encode_snapshot();
+  for (std::uint32_t r = 1; r < group.replica_count(); ++r) {
+    EXPECT_EQ(group.state(r).encode_snapshot(), leader) << "replica " << r;
+  }
+  const auto replayed =
+      control::ControllerState::replay(group.journal(group.leader()).records());
+  ASSERT_TRUE(replayed.ok()) << replayed.error().to_string();
+  EXPECT_EQ(replayed->encode_snapshot(), leader);
+  group.verify_convergence();
+  dep.stop_replication();
+}
+
 TEST(Replication, SingleReplicaGroupReleasesBarriersImmediately) {
   // Quorum 1-of-1 degenerates to the plain durable controller: every
   // barrier releases with zero wait, and compaction happens locally.

@@ -50,6 +50,16 @@ lack -Wthread-safety; clang enforces the real thing):
       on acquire/release pairings, so every data-plane atomic must *state*
       its ordering — even when the answer really is seq_cst.
 
+Write-path rule (DESIGN.md §13: the live coordinator changes its journaled
+state only through ControllerState::apply):
+
+  W1  in ``src/control/global_switchboard.cpp``, a write to ``state_`` —
+      an assignment, ``++``/``--``, a ``[]`` subscript, a mutating member
+      call (``push_back``, ``erase``, ``insert``, ...) or a non-const
+      ``ChainRecord`` pointer/reference — outside the write helper
+      (``write_record``) and ``restart_with``.  A direct write is a second
+      interpreter that replay and the standbys never run.
+
 Escapes (both are printed, so suppressions stay visible):
 
   * inline, per line:  ``// swb-lint: allow(D1): why this one is safe``
@@ -57,7 +67,7 @@ Escapes (both are printed, so suppressions stay visible):
     count *below* an entry is an error too — the allowlist must shrink as
     sites are fixed, never silently go stale.
 
-``--self-test`` runs the determinism/guard rules over the known-bad
+``--self-test`` runs the determinism/guard/write-path rules over the known-bad
 fixtures in ``tests/lint_selftest/`` and checks the findings against their
 ``// expect-lint: <rule>`` markers in both directions (missed expectation
 or unexpected finding both fail), proving the linter still catches what it
@@ -113,6 +123,20 @@ ATOMIC_OP_RE = re.compile(
     r"[.]\s*(load|store|exchange|fetch_(?:add|sub|and|or|xor)|"
     r"compare_exchange_(?:weak|strong))\s*\(")
 M1_SCOPE = ("src/dataplane/", "src/common/epoch", "tests/lint_selftest/")
+
+# W1: the one file whose state_ writes are confined, plus the fixtures.
+W1_SCOPE = ("src/control/global_switchboard.cpp", "tests/lint_selftest/")
+W1_WRITERS = {"write_record", "restart_with"}
+# `state_` then a postfix chain (.field, ->field, [..], (..)); the write is
+# judged on what the chain holds and on what follows it.
+STATE_REF_RE = re.compile(
+    r"(?:(\+\+|--)\s*)?\bstate_\b((?:\s*(?:\.|->)\s*\w+|\s*\[[^\]]*\]|"
+    r"\s*\((?:[^()]|\([^()]*\))*\))*)")
+MUTATING_CALL_RE = re.compile(
+    r"(?:\.|->)\s*(?:push_back|emplace_back|emplace|insert|erase|clear|"
+    r"pop_back|resize|assign|swap|try_emplace|insert_or_assign)\s*\(")
+ASSIGN_AFTER_RE = re.compile(r"\s*(?:\+\+|--|(?:[-+*/%&|^]|<<|>>)?=(?!=))")
+MUTABLE_CHAIN_RE = re.compile(r"(?<!const )\bChainRecord\s*[*&]")
 
 GUARDED_FIELD_RE = re.compile(r"\b(\w+)\s+SWB_GUARDED_BY\s*\(")
 REQUIRES_DECL_RE = re.compile(
@@ -389,6 +413,42 @@ def lint_atomics(rel: str, code: str) -> list:
     return problems
 
 
+def lint_state_writes(rel: str, code: str) -> list:
+    """W1 over one file: state_ written outside the write helper.  The
+    whole file is scanned (constructor bodies included); only the bodies
+    of W1_WRITERS are exempt."""
+    if not rel.startswith(W1_SCOPE):
+        return []
+    bodies = [(off, off + len(body), name)
+              for name, _, body, _, off in function_bodies(code)]
+
+    def owner(offset: int) -> str:
+        for start, end, name in bodies:
+            if start <= offset < end:
+                return name
+        return "file scope"
+
+    hits = []
+    for m in STATE_REF_RE.finditer(code):
+        chain = m.group(2)
+        if (m.group(1) or "[" in chain or MUTATING_CALL_RE.search(chain)
+                or ASSIGN_AFTER_RE.match(code, m.end())):
+            hits.append((m.start(), "state_ written"))
+    for m in MUTABLE_CHAIN_RE.finditer(code):
+        hits.append((m.start(), "a mutable ChainRecord handle"))
+    problems = []
+    for offset, what in sorted(hits):
+        name = owner(offset)
+        if name in W1_WRITERS:
+            continue
+        problems.append(
+            (rel, line_of(code, offset), "W1",
+             f"{what} in '{name}': the coordinator changes its journaled "
+             "state only through write_record() (ControllerState::apply + "
+             "journal append)"))
+    return problems
+
+
 def lint_guards(rel: str, code: str, guarded: set, exempt: set) -> list:
     """T1 over one file: guarded-field reference with no locking evidence.
     `guarded` and `exempt` are collected over the header/source pair."""
@@ -450,6 +510,7 @@ def scan(root: pathlib.Path, files: list, rules: str) -> tuple:
         if rules in ("determinism", "all"):
             found += lint_determinism(rel, code, unordered)
             found += lint_atomics(rel, code)
+            found += lint_state_writes(rel, code)
             key = pair_key(path)
             found += lint_guards(rel, code, guarded_by_pair.get(key, set()),
                                  exempt_by_pair.get(key, set()))
