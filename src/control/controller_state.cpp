@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
-#include <iomanip>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <type_traits>
 
 #include "common/check.hpp"
@@ -52,38 +51,66 @@ std::optional<std::string> unescape(std::string_view text) {
   return out;
 }
 
-template <typename Id>
-void write_ids(std::ostream& out, const std::vector<Id>& ids) {
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    out << (i > 0 ? "," : "") << ids[i].value();
+/// Builds one journal line in a std::string: numbers go through
+/// std::to_chars (a double as %.17g, so it round-trips exactly), which
+/// costs no stream and no locale per record.
+class LineWriter {
+ public:
+  LineWriter& operator<<(std::string_view text) {
+    line_ += text;
+    return *this;
   }
-}
+  template <std::unsigned_integral T>
+  LineWriter& operator<<(T value) {
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+    line_.append(digits, end);
+    return *this;
+  }
+  LineWriter& operator<<(double value) {
+    char digits[32];
+    const auto end = std::to_chars(digits, digits + sizeof digits, value,
+                                   std::chars_format::general, 17)
+                         .ptr;
+    line_.append(digits, end);
+    return *this;
+  }
+  template <typename Id>
+  LineWriter& ids(const std::vector<Id>& ids) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      *this << (i > 0 ? "," : "") << ids[i].value();
+    }
+    return *this;
+  }
+  [[nodiscard]] std::string take() { return std::move(line_); }
+
+ private:
+  std::string line_;
+};
 
 // The two record writers encode_snapshot() shares with encode(), so a
 // snapshot copies no chain or placement to encode it.
 std::string chain_line(const ChainRecord& c) {
-  std::ostringstream out;
-  out << std::setprecision(17) << "t=chain;id=" << c.id.value()
-      << ";name=" << escape(c.spec.name)
+  LineWriter out;
+  out << "t=chain;id=" << c.id.value() << ";name=" << escape(c.spec.name)
       << ";ins=" << c.spec.ingress_service.value()
       << ";inn=" << c.spec.ingress_node.value()
       << ";egs=" << c.spec.egress_service.value()
       << ";egn=" << c.spec.egress_node.value() << ";vnfs=";
-  write_ids(out, c.spec.vnfs);
-  out << ";ft=" << c.spec.forward_traffic << ";rt=" << c.spec.reverse_traffic
+  out.ids(c.spec.vnfs)
+      << ";ft=" << c.spec.forward_traffic << ";rt=" << c.spec.reverse_traffic
       << ";cl=" << c.labels.chain << ";el=" << c.labels.egress_site
       << ";insite=" << c.ingress_site.value()
       << ";egsite=" << c.egress_site.value();
-  return out.str();
+  return out.take();
 }
 
 std::string begin_line(ChainId chain, RouteId route,
                        const std::vector<SiteId>& sites) {
-  std::ostringstream out;
+  LineWriter out;
   out << "t=begin;chain=" << chain.value() << ";route=" << route.value()
       << ";sites=";
-  write_ids(out, sites);
-  return out.str();
+  return out.ids(sites).take();
 }
 
 std::optional<JournalRecord> decode_chain(KvFields& f) {
@@ -119,15 +146,14 @@ void rebalance(ChainRecord& chain) {
 }  // namespace
 
 std::string encode(const JournalRecord& record) {
-  std::ostringstream out;
-  out << std::setprecision(17);
-  std::visit(
-      [&out](const auto& r) {
+  return std::visit(
+      [](const auto& r) {
         using T = std::decay_t<decltype(r)>;
+        LineWriter out;
         if constexpr (std::is_same_v<T, journal::Chain>) {
-          out << chain_line(r.chain);
+          return chain_line(r.chain);
         } else if constexpr (std::is_same_v<T, journal::Begin>) {
-          out << begin_line(r.chain, r.route, r.sites);
+          return begin_line(r.chain, r.route, r.sites);
         } else if constexpr (std::is_same_v<T, journal::Epoch>) {
           out << "t=epoch;n=" << r.epoch;
         } else if constexpr (std::is_same_v<T, journal::NextRouteId>) {
@@ -142,9 +168,9 @@ std::string encode(const JournalRecord& record) {
           out << "t=" << T::kTag << ";chain=" << r.chain.value()
               << ";route=" << r.route.value();
         }
+        return out.take();
       },
       record);
-  return out.str();
 }
 
 Result<JournalRecord> decode(std::string_view text) {
@@ -200,6 +226,7 @@ Status ControllerState::apply(const JournalRecord& record) {
           if (find(r.chain.id) != nullptr) {
             return Status{ErrorCode::kAlreadyExists, "chain registered twice"};
           }
+          chain_slots_.emplace(r.chain.id.value(), chains.size());
           chains.push_back(r.chain);   // routes follow as begin + commit
         } else if constexpr (std::is_same_v<T, journal::Begin>) {
           const ChainRecord* chain = find(r.chain);
@@ -287,10 +314,11 @@ std::vector<std::string> ControllerState::encode_snapshot() const {
 }
 
 void ControllerState::check_invariants() const {
-  std::set<std::uint32_t> chain_ids;
-  for (const ChainRecord& chain : chains) {
-    SWB_CHECK(chain_ids.insert(chain.id.value()).second)
-        << "duplicate chain id " << chain.id.value();
+  SWB_CHECK_EQ(chain_slots_.size(), chains.size()) << "chain index size";
+  for (std::size_t slot = 0; slot < chains.size(); ++slot) {
+    const ChainRecord& chain = chains[slot];
+    SWB_CHECK(find(chain.id) == &chain)
+        << "chain " << chain.id.value() << " not indexed at slot " << slot;
     SWB_CHECK_EQ(chain.active, !chain.routes.empty())
         << "chain " << chain.id.value() << " active flag vs routes";
     std::set<std::uint32_t> route_ids;

@@ -18,6 +18,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -129,17 +130,14 @@ struct ControllerState {
   /// Highest incarnation journaled — the live coordinator's own epoch.
   std::uint64_t epoch{0};
 
+  /// O(1) through the id index apply() keeps beside `chains`.
   [[nodiscard]] ChainRecord* find(ChainId id) {
-    for (ChainRecord& chain : chains) {
-      if (chain.id == id) return &chain;
-    }
-    return nullptr;
+    const auto it = chain_slots_.find(id.value());
+    return it == chain_slots_.end() ? nullptr : &chains[it->second];
   }
   [[nodiscard]] const ChainRecord* find(ChainId id) const {
-    for (const ChainRecord& chain : chains) {
-      if (chain.id == id) return &chain;
-    }
-    return nullptr;
+    const auto it = chain_slots_.find(id.value());
+    return it == chain_slots_.end() ? nullptr : &chains[it->second];
   }
 
   /// Applies one record.  A record that does not fit the state (a prep or
@@ -157,11 +155,18 @@ struct ControllerState {
   /// The shortest record sequence that replays to this state.
   [[nodiscard]] std::vector<std::string> encode_snapshot() const;
 
-  /// Audits (SWB_CHECK): chain ids unique; every route has one site per
-  /// VNF, a weight in (0, 1] and an id below the allocator; a chain is
-  /// active iff it has routes, whose weights then sum to 1; every
-  /// in-flight round belongs to a known chain and is not committed yet.
+  /// Audits (SWB_CHECK): chain ids unique and each indexed at its slot;
+  /// every route has one site per VNF, a weight in (0, 1] and an id below
+  /// the allocator; a chain is active iff it has routes, whose weights
+  /// then sum to 1; every in-flight round belongs to a known chain and is
+  /// not committed yet.
   void check_invariants() const;
+
+ private:
+  /// Position in `chains` of each chain id.  Chains are only ever
+  /// appended, by apply(), which records the slot — so replay, the
+  /// standbys and an adopted state carry the index with them.
+  std::unordered_map<std::uint32_t, std::size_t> chain_slots_;
 };
 
 }  // namespace switchboard::control

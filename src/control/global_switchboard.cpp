@@ -883,13 +883,8 @@ void GlobalSwitchboard::write_record(const JournalRecord& record) {
   // The replication stream taps every append, in order, right here.
   if (journal_observer_) journal_observer_(line);
   if (journal_->wants_snapshot()) {
-    if (compaction_gate_) {
-      // Replicated mode: the snapshot is first installed on a quorum of
-      // followers; the gate calls compact_journal_now() on their ack.
-      compaction_gate_();
-    } else {
-      journal_->write_snapshot(state_.encode_snapshot());
-    }
+    journal_->write_snapshot(state_.encode_snapshot());
+    ++compactions_;
   }
 }
 
@@ -903,24 +898,12 @@ void GlobalSwitchboard::set_quorum_gate(
   quorum_gate_ = std::move(gate);
 }
 
-void GlobalSwitchboard::set_compaction_gate(std::function<void()> gate) {
-  compaction_gate_ = std::move(gate);
-}
-
 void GlobalSwitchboard::after_quorum(std::function<void()> resume) {
   if (quorum_gate_ == nullptr) {
     resume();   // single-controller mode: no barrier, identical timing
     return;
   }
   quorum_gate_(std::move(resume));
-}
-
-void GlobalSwitchboard::compact_journal_now() {
-  if (journal_ == nullptr) return;
-  // Re-encode at call time: records appended while the replicated install
-  // was in flight are part of the state by now, so truncation loses
-  // nothing.
-  journal_->write_snapshot(state_.encode_snapshot());
 }
 
 ColdStartReport GlobalSwitchboard::cold_start() {

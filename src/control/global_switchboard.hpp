@@ -180,21 +180,14 @@ class GlobalSwitchboard {
   void set_quorum_gate(
       std::function<void(std::function<void()>)> gate);
 
-  /// Compaction gate: when set, the journal's wants_snapshot() trigger is
-  /// handed to the gate instead of compacting inline — the ReplicaGroup
-  /// replicates the snapshot to followers first and calls
-  /// compact_journal_now() once a quorum installed it (log truncation
-  /// fenced on follower ack).
-  void set_compaction_gate(std::function<void()> gate);
-
-  /// Re-encodes the current state and compacts the journal immediately
-  /// (re-encoding at call time, so records appended while a replicated
-  /// snapshot install was in flight are never lost to truncation).
-  void compact_journal_now();
+  /// Journal compactions write_record() ran (every snapshot_interval
+  /// appends), summed over incarnations and journals.
+  [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
 
   /// The journaled state: chains, in-flight 2PC rounds, dead pools, the
   /// route-id allocator and the epoch.  Its encode_snapshot() is what a
-  /// snapshot install streams to followers.
+  /// snapshot install streams to a repaired, restored or newly led
+  /// follower.
   [[nodiscard]] const ControllerState& state() const { return state_; }
 
   /// Leader failover onto a hot standby: re-points the coordinator at the
@@ -336,8 +329,9 @@ class GlobalSwitchboard {
   /// The one write path into state_ (restart_with's adoption aside):
   /// applies `record` — a misfit is a coordinator bug and aborts — then
   /// appends it (so a snapshot cut inside the append already holds it),
-  /// notifies the journal observer, and compacts into a snapshot when the
-  /// journal asks (or defers to the compaction gate).
+  /// notifies the journal observer, and compacts the journal into a
+  /// snapshot of state_ when it asks — in replicated mode too, since every
+  /// replica compacts its own journal.
   void write_record(const JournalRecord& record);
   /// Runs `resume` behind the quorum gate when one is set, synchronously
   /// otherwise (single-controller mode keeps its exact pre-replication
@@ -376,7 +370,7 @@ class GlobalSwitchboard {
   /// Replication hooks (unset in single-controller mode; see DESIGN.md §18).
   std::function<void(const std::string&)> journal_observer_;
   std::function<void(std::function<void()>)> quorum_gate_;
-  std::function<void()> compaction_gate_;
+  std::uint64_t compactions_{0};
   bool up_{true};
   ColdStartReport last_cold_start_;
 };

@@ -87,7 +87,6 @@ void ReplicaGroup::start() {
       [this](std::function<void()> resume) {
         on_quorum_gate(std::move(resume));
       });
-  global_.set_compaction_gate([this] { on_compaction_wanted(); });
 
   // Every replica pair gets its stream + ack subscription up front (role
   // changes at failover never need new subscriptions, so retained-frame
@@ -208,33 +207,6 @@ void ReplicaGroup::on_quorum_gate(std::function<void()> resume) {
   if (immediate) resume();
 }
 
-void ReplicaGroup::on_compaction_wanted() {
-  Outbox outbox;
-  bool compact_now = false;
-  {
-    const swb::MutexLock lock{mutex_};
-    if (install_pending_) return;   // one replicated install at a time
-    std::size_t live_followers = 0;
-    for (std::uint32_t f = 0; f < replicas_.size(); ++f) {
-      if (f != leader_ && replicas_[f].up) ++live_followers;
-    }
-    if (quorum_ <= 1 || live_followers == 0) {
-      // Nobody to fence on (single replica, or every follower dead — the
-      // quorum barrier is already stalling commits in the latter case);
-      // compact locally so the log does not grow without bound.
-      compact_now = quorum_ <= 1;
-      if (!compact_now) return;
-    } else {
-      install_pending_ = true;
-      install_seq_ = stream_seq_;
-      install_acks_.clear();
-      outbox = push_installs();
-    }
-  }
-  if (compact_now) global_.compact_journal_now();
-  publish(std::move(outbox));
-}
-
 ReplicaGroup::Outbox ReplicaGroup::push_installs_to(
     const std::vector<std::uint32_t>& targets) {
   Outbox outbox;
@@ -322,6 +294,11 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
           break;
         }
         replica.journal->append(line);
+        // Each replica compacts its own journal from its own state, which
+        // equals the leader's at this stream position.
+        if (replica.journal->wants_snapshot()) {
+          replica.journal->write_snapshot(replica.state.encode_snapshot());
+        }
         replica.digest = fold_record(replica.digest, line);
         ++replica.applied_records;
         ++replica.applied_seq;
@@ -340,7 +317,6 @@ void ReplicaGroup::on_stream_frame(std::uint32_t to,
 void ReplicaGroup::on_ack_frame(std::uint32_t to,
                                 const ReplicationFrame& frame) {
   std::vector<std::function<void()>> resumes;
-  bool compact = false;
   {
     const swb::MutexLock lock{mutex_};
     // Only the current leader consumes acks, and only for its own epoch —
@@ -354,17 +330,6 @@ void ReplicaGroup::on_ack_frame(std::uint32_t to,
       follower.acked = frame.seq;
       follower.stalled_beats = 0;
     }
-    if (frame.kind == ReplicationKind::kSnapshotAck && install_pending_ &&
-        frame.seq >= install_seq_) {
-      install_acks_.insert(frame.from);
-      // The leader's own log always covers the snapshot; it counts
-      // toward the install quorum like it counts toward ack quorums.
-      if (1 + install_acks_.size() >= quorum_) {
-        install_pending_ = false;
-        compact = true;
-        ++replicated_compactions_;
-      }
-    }
     // Divergence cross-check at the quiescent point: a follower claiming
     // the leader's exact stream position must carry its exact digest.
     if (frame.seq == stream_seq_ &&
@@ -375,7 +340,6 @@ void ReplicaGroup::on_ack_frame(std::uint32_t to,
     }
     resumes = collect_released_barriers();
   }
-  if (compact) global_.compact_journal_now();
   for (auto& resume : resumes) resume();
 }
 
@@ -606,7 +570,6 @@ void ReplicaGroup::drop_leader_work() {
   // epoch; their resumes are epoch-guarded no-ops anyway.
   barriers_dropped_ += pending_.size();
   pending_.clear();
-  install_pending_ = false;
 }
 
 ReplicaGroup::Outbox ReplicaGroup::restart_stream() {

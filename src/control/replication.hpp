@@ -9,9 +9,10 @@
 // it to its journal, folds it into an FNV-1a digest and acks its durable
 // position (a record that does not decode or apply is dropped unacked and
 // counted).  The coordinator's quorum gate holds every externally visible
-// acknowledgment until a quorum has the triggering record durable, and
-// compaction is replicated as a snapshot install that must reach a quorum
-// before the leader truncates its log.
+// acknowledgment until a quorum has the triggering record durable.  Every
+// replica compacts its own journal from its own state; a snapshot install
+// (encoded from the leader's live state) goes only to a follower that
+// stalled, restarted, or follows a new leader.
 //
 // Replicas beat on /health/ctl/replica_<r>; a FailureDetector sweeps them.
 // A silent leader whose process is dead (a partition is only a counted
@@ -29,7 +30,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,10 +76,10 @@ class ReplicaGroup {
                sim::DurableStore& store, std::vector<SiteId> replica_sites,
                ReplicationConfig config = {});
 
-  /// Wires the hooks (journal observer, quorum gate, compaction gate),
-  /// installs the base snapshot on every replica, subscribes the stream /
-  /// ack topics, and starts heartbeats + the failure detector.  Call once,
-  /// after the deployment is constructed and before any chain creation.
+  /// Wires the hooks (journal observer, quorum gate), installs the base
+  /// snapshot on every replica, subscribes the stream / ack topics, and
+  /// starts heartbeats + the failure detector.  Call once, after the
+  /// deployment is constructed and before any chain creation.
   void start();
   /// Stops heartbeats and the detector (both self-reschedule) so the
   /// simulator can drain.
@@ -149,9 +149,10 @@ class ReplicaGroup {
     const swb::MutexLock lock{mutex_};
     return installs_sent_;
   }
+  /// Compactions of the leader's journal (each follower compacts its own
+  /// at the same stream positions unless an install reset its interval).
   [[nodiscard]] std::uint64_t replicated_compactions() const {
-    const swb::MutexLock lock{mutex_};
-    return replicated_compactions_;
+    return global_.compactions();
   }
   [[nodiscard]] std::uint64_t false_suspicions() const {
     const swb::MutexLock lock{mutex_};
@@ -232,7 +233,6 @@ class ReplicaGroup {
   // Hook bodies (installed on the GlobalSwitchboard by start()).
   void on_leader_append(const std::string& record);
   void on_quorum_gate(std::function<void()> resume);
-  void on_compaction_wanted();
 
   // Bus-facing handlers.
   void on_stream_frame(std::uint32_t to, const ReplicationFrame& frame);
@@ -254,7 +254,7 @@ class ReplicaGroup {
   [[nodiscard]] Outbox restart_stream() SWB_REQUIRES(mutex_);
   /// Queues a snapshot install to every live follower (returned).
   [[nodiscard]] Outbox push_installs() SWB_REQUIRES(mutex_);
-  /// Drops the dead leader's pending barriers and install.
+  /// Drops the dead leader's pending barriers.
   void drop_leader_work() SWB_REQUIRES(mutex_);
   /// Publishes frames queued under the lock (never publish under it).
   void publish(Outbox outbox) SWB_EXCLUDES(mutex_);
@@ -275,9 +275,9 @@ class ReplicaGroup {
 
   /// One lock covers group state, per-replica states, and counters.
   /// Contract: bus publishes, GlobalSwitchboard calls (warm_failover,
-  /// cold_start, compact_journal_now), and barrier resumes NEVER run
-  /// under it — handlers mutate state under the lock, collect the actions,
-  /// and perform them after release (same discipline as FailureDetector).
+  /// cold_start), and barrier resumes NEVER run under it — handlers
+  /// mutate state under the lock, collect the actions, and perform them
+  /// after release (same discipline as FailureDetector).
   mutable swb::Mutex mutex_;
   std::vector<Replica> replicas_ SWB_GUARDED_BY(mutex_);
   std::uint32_t leader_ SWB_GUARDED_BY(mutex_){0};
@@ -287,10 +287,6 @@ class ReplicaGroup {
   bool promoting_ SWB_GUARDED_BY(mutex_){false};
   std::uint64_t stream_seq_ SWB_GUARDED_BY(mutex_){0};
   std::deque<Barrier> pending_ SWB_GUARDED_BY(mutex_);
-  /// One replicated snapshot install in flight at a time (dedup).
-  bool install_pending_ SWB_GUARDED_BY(mutex_){false};
-  std::uint64_t install_seq_ SWB_GUARDED_BY(mutex_){0};
-  std::set<std::uint32_t> install_acks_ SWB_GUARDED_BY(mutex_);
   sim::EventHandle beat_event_ SWB_GUARDED_BY(mutex_){};
   bool beating_ SWB_GUARDED_BY(mutex_){false};
 
@@ -298,7 +294,6 @@ class ReplicaGroup {
   std::uint64_t elections_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t cold_restarts_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t installs_sent_ SWB_GUARDED_BY(mutex_){0};
-  std::uint64_t replicated_compactions_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t false_suspicions_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t divergences_ SWB_GUARDED_BY(mutex_){0};
   std::uint64_t barriers_released_ SWB_GUARDED_BY(mutex_){0};

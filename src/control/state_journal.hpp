@@ -6,10 +6,13 @@
 // Records are newline-delimited "k=v;" lines — the same compact grammar
 // as the bus messages — appended to a `<name>.log` blob in a
 // sim::DurableStore.  Every `snapshot_interval` appends the journal
-// compacts: the owner re-encodes its full state with the same record
+// compacts: its owner re-encodes its own full state with the same record
 // grammar, the snapshot replaces `<name>.snap`, and the log truncates.
-// Recovery after crash-with-amnesia is therefore always
-// "replay snapshot records, then replay log records" through one parser.
+// With replication every replica owns one journal and compacts it itself
+// (the coordinator for the leader's, each follower for its own); nothing
+// ships a snapshot to make another replica's journal compact.  Recovery
+// after crash-with-amnesia is therefore always "replay snapshot records,
+// then replay log records" through one parser.
 //
 // The journal charges a configurable per-record replay cost so recovery
 // latency scales with journal size in simulated time — the knob the
@@ -46,8 +49,8 @@ class StateJournal {
   void append(const std::string& record);
 
   /// Replaces the snapshot with `records` and truncates the log.  Called
-  /// by the owner when the journal asks for compaction (wants_snapshot())
-  /// and by recovery code after a cold start.
+  /// by the owner when the journal asks for compaction (wants_snapshot()),
+  /// and with a base snapshot or a leader's install.
   void write_snapshot(const std::vector<std::string>& records);
 
   /// True when the append counter crossed the snapshot interval; the

@@ -1,5 +1,8 @@
 #include "core/middleware.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <set>
 #include <utility>
 
 namespace switchboard::core {
@@ -27,9 +30,31 @@ EdgeServiceId Middleware::register_edge_service(std::string name) {
   return deployment_.create_edge_service(std::move(name));
 }
 
-VnfId Middleware::register_vnf_service(std::string name, double load_per_unit,
-                                       const std::vector<VnfSite>& sites) {
+Result<VnfId> Middleware::register_vnf_service(
+    std::string name, double load_per_unit,
+    const std::vector<VnfSite>& sites) {
   model::NetworkModel& model = deployment_.network_model();
+  // Everything is checked before the model changes: the model SWB_CHECKs
+  // these, and an infinite capacity would only abort at the pool's first
+  // failure (its pooldown record does not apply).
+  const auto invalid = [](const char* why) {
+    return Result<VnfId>{ErrorCode::kInvalidArgument, why};
+  };
+  if (!(std::isfinite(load_per_unit) && load_per_unit >= 0.0)) {
+    return invalid("load per unit must be finite and non-negative");
+  }
+  std::set<std::uint32_t> seen;
+  for (const VnfSite& site : sites) {
+    if (!(std::isfinite(site.capacity) && site.capacity > 0.0)) {
+      return invalid("capacity must be finite and positive");
+    }
+    if (site.site.value() >= model.sites().size()) {
+      return invalid("site out of range");
+    }
+    if (!seen.insert(site.site.value()).second) {
+      return invalid("site listed twice");
+    }
+  }
   const VnfId vnf = model.add_vnf(std::move(name), load_per_unit);
   for (const VnfSite& site : sites) {
     model.deploy_vnf(vnf, site.site, site.capacity);

@@ -28,13 +28,17 @@ class Middleware {
   /// Registers an edge service (VPN, broadband, cellular, ...).
   EdgeServiceId register_edge_service(std::string name);
 
-  /// Adds a VNF to the catalog and deploys it at the given sites.
+  /// Adds a VNF to the catalog and deploys it at the given sites.  A NaN,
+  /// infinite or negative load, a capacity that is not finite and
+  /// positive, or a site out of range or listed twice is kInvalidArgument,
+  /// with the model left unchanged.
   struct VnfSite {
     SiteId site;
     double capacity;
   };
-  VnfId register_vnf_service(std::string name, double load_per_unit,
-                             const std::vector<VnfSite>& sites);
+  [[nodiscard]] Result<VnfId> register_vnf_service(
+      std::string name, double load_per_unit,
+      const std::vector<VnfSite>& sites);
 
   /// Creates and activates a chain; blocks (in simulated time) until every
   /// involved site installed its rules.

@@ -2,6 +2,9 @@
 // the scenario-level integration tests.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "switchboard/switchboard.hpp"
 
 namespace switchboard::core {
@@ -42,8 +45,10 @@ TEST(Deployment, RegisterVnfServiceAfterConstruction) {
 
   Middleware mw{std::move(m)};
   const EdgeServiceId edge = mw.register_edge_service("vpn");
-  const VnfId dpi =
+  const Result<VnfId> registered =
       mw.register_vnf_service("dpi", 2.0, {{mid, 50.0}});
+  ASSERT_TRUE(registered.ok()) << registered.error().to_string();
+  const VnfId dpi = *registered;
 
   ChainSpec spec;
   spec.ingress_service = edge;
@@ -56,6 +61,65 @@ TEST(Deployment, RegisterVnfServiceAfterConstruction) {
   const auto walk = mw.send(report->chain, tuple(2));
   ASSERT_TRUE(walk.delivered) << walk.failure;
   EXPECT_EQ(walk.vnf_instances().size(), 1u);
+}
+
+TEST(Deployment, RegisterVnfServiceRejectsBadInputWithoutTouchingTheModel) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const SiteId mid{1};
+  struct Case {
+    const char* what;
+    double load;
+    std::vector<Middleware::VnfSite> sites;
+  };
+  const std::vector<Case> cases = {
+      {"NaN load", kNan, {{mid, 50.0}}},
+      {"negative load", -1.0, {{mid, 50.0}}},
+      {"infinite load", kInf, {{mid, 50.0}}},
+      {"NaN capacity", 1.0, {{mid, kNan}}},
+      {"+inf capacity", 1.0, {{mid, kInf}}},
+      {"-inf capacity", 1.0, {{mid, -kInf}}},
+      {"zero capacity", 1.0, {{mid, 0.0}}},
+      {"negative capacity", 1.0, {{mid, -5.0}}},
+      {"site out of range", 1.0, {{SiteId{3}, 50.0}}},
+      {"invalid site id", 1.0, {{SiteId{}, 50.0}}},
+      {"duplicate site", 1.0, {{mid, 50.0}, {mid, 20.0}}},
+      {"bad site after a good one", 1.0, {{SiteId{0}, 50.0}, {mid, kInf}}},
+  };
+  Middleware mw{tiny_model()};
+  const model::NetworkModel& model = mw.deployment().network_model();
+  const std::vector<model::Vnf> before = model.vnfs();
+  for (const Case& c : cases) {
+    const Result<VnfId> result = mw.register_vnf_service("bad", c.load,
+                                                         c.sites);
+    ASSERT_FALSE(result.ok()) << c.what;
+    EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument) << c.what;
+    ASSERT_EQ(model.vnfs().size(), before.size()) << c.what;
+    for (std::size_t f = 0; f < before.size(); ++f) {
+      const auto& now = model.vnfs()[f].deployments;
+      ASSERT_EQ(now.size(), before[f].deployments.size()) << c.what;
+      for (std::size_t d = 0; d < now.size(); ++d) {
+        EXPECT_EQ(now[d].site, before[f].deployments[d].site) << c.what;
+        EXPECT_EQ(now[d].capacity, before[f].deployments[d].capacity)
+            << c.what;
+      }
+    }
+  }
+
+  // A valid call afterwards still registers a routable VNF.
+  const Result<VnfId> dpi = mw.register_vnf_service("dpi", 2.0, {{mid, 50.0}});
+  ASSERT_TRUE(dpi.ok()) << dpi.error().to_string();
+  EXPECT_EQ(dpi->value(), before.size());
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  ChainSpec spec;
+  spec.ingress_service = edge;
+  spec.egress_service = edge;
+  spec.ingress_node = NodeId{0};
+  spec.egress_node = NodeId{2};
+  spec.vnfs = {*dpi};
+  const auto report = mw.create_chain(spec);
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  EXPECT_TRUE(mw.send(report->chain, tuple(5)).delivered);
 }
 
 TEST(Deployment, WalkReportsPerHopLatency) {

@@ -5,8 +5,13 @@
 // and Local Switchboards, and reconciliation of orphaned capacity.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <iomanip>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -159,6 +164,93 @@ TEST(JournalCodec, EncodesTheTextWireFormatByteForByte) {
   const auto decoded = control::decode(line);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(std::get<journal::Chain>(*decoded).chain.spec.name, c.spec.name);
+}
+
+/// The stream formatting the codec used before it wrote through
+/// std::to_chars — kept here only as the byte-identity reference.
+std::string stream_format(double value) {
+  std::ostringstream out;
+  out << std::setprecision(17) << value;
+  return out.str();
+}
+
+std::string printf_format(double value) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%.17g", value);
+  return text;
+}
+
+TEST(JournalCodec, NumbersMatchPrintfAndTheStreamReferenceByteForByte) {
+  namespace journal = control::journal;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, 1e308, 1e-308, -1e308, 0.1, 1.0 / 3.0, 0.5,
+      1.0, 100.0, 1e17, 123456789012345678.0,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(), 4.9e-320, -2.5e-310,
+      std::numeric_limits<double>::quiet_NaN()};
+  std::mt19937_64 bits{20240601};
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(std::bit_cast<double>(bits()));
+  }
+  for (const double value : values) {
+    const std::string line =
+        control::encode(journal::PoolDown{VnfId{1}, SiteId{2}, value});
+    const std::string prefix = "t=pooldown;vnf=1;site=2;cap=";
+    ASSERT_EQ(line.substr(0, prefix.size()), prefix);
+    const std::string text = line.substr(prefix.size());
+    ASSERT_EQ(text, printf_format(value)) << line;
+    ASSERT_EQ(text, stream_format(value)) << line;
+    if (std::isfinite(value)) {
+      const auto decoded = control::decode(line);
+      ASSERT_TRUE(decoded.ok()) << line;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    std::get<journal::PoolDown>(*decoded).capacity),
+                std::bit_cast<std::uint64_t>(value))
+          << line;
+    }
+  }
+
+  // Integers at the top of their ranges.
+  constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(control::encode(journal::Epoch{kMax64}),
+            "t=epoch;n=18446744073709551615");
+  EXPECT_EQ(control::encode(journal::NextRouteId{kMax32}),
+            "t=nri;n=4294967295");
+  EXPECT_EQ(control::encode(journal::Commit{{ChainId{kMax32 - 1},
+                                              RouteId{kMax32 - 1}}}),
+            "t=commit;chain=4294967294;route=4294967294");
+
+  // Whole chain and begin lines against the stream reference.
+  control::ChainRecord c;
+  c.id = ChainId{kMax32 - 1};
+  c.spec.name = "edge;%case";
+  c.spec.ingress_service = EdgeServiceId{kMax32 - 1};
+  c.spec.ingress_node = NodeId{0};
+  c.spec.egress_service = EdgeServiceId{7};
+  c.spec.egress_node = NodeId{kMax32 - 1};
+  c.spec.vnfs = {VnfId{0}, VnfId{kMax32 - 1}, VnfId{12}};
+  c.labels = dataplane::Labels{kMax32, 0};
+  c.ingress_site = SiteId{kMax32 - 1};
+  c.egress_site = SiteId{3};
+  for (int i = 0; i < 200; ++i) {
+    c.spec.forward_traffic = std::bit_cast<double>(bits());
+    c.spec.reverse_traffic = 1.0 / (i + 1);
+    std::ostringstream ref;
+    ref << std::setprecision(17) << "t=chain;id=" << c.id.value()
+        << ";name=edge%3B%25case;ins=" << c.spec.ingress_service.value()
+        << ";inn=0;egs=7;egn=" << c.spec.egress_node.value()
+        << ";vnfs=0," << kMax32 - 1 << ",12;ft=" << c.spec.forward_traffic
+        << ";rt=" << c.spec.reverse_traffic << ";cl=" << kMax32
+        << ";el=0;insite=" << c.ingress_site.value() << ";egsite=3";
+    ASSERT_EQ(control::encode(journal::Chain{c}), ref.str());
+  }
+  EXPECT_EQ(control::encode(journal::Begin{ChainId{kMax32 - 1}, RouteId{0},
+                                           {SiteId{kMax32 - 1}, SiteId{0}}}),
+            "t=begin;chain=4294967294;route=0;sites=4294967294,0");
+  EXPECT_EQ(control::encode(journal::Begin{ChainId{1}, RouteId{2}, {}}),
+            "t=begin;chain=1;route=2;sites=");
 }
 
 TEST(JournalCodec, MalformedLinesAreErrorsAndMisfitRecordsAreRejected) {

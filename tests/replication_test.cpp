@@ -225,11 +225,11 @@ TEST(Replication, SingleReplicaGroupReleasesBarriersImmediately) {
   dep.stop_replication();
 }
 
-TEST(Replication, CompactionIsFencedOnFollowerInstallAcks) {
-  // An aggressive snapshot interval forces replicated compactions during
-  // chain creation: the leader's log must only truncate after a quorum of
-  // followers durably installed the snapshot, and followers must land on
-  // the identical digest afterwards.
+TEST(Replication, EveryReplicaCompactsItsOwnJournal) {
+  // An aggressive snapshot interval forces compactions during chain
+  // creation.  Each replica snapshots its own state into its own journal —
+  // no snapshot crosses the bus in a fault-free run — and every journal
+  // still replays to the leader's state.
   model::NetworkModel m = make_two_pool_model();
   const VnfId fw = m.vnfs()[0].id;
   DeploymentConfig config = replicated_config();
@@ -250,11 +250,64 @@ TEST(Replication, CompactionIsFencedOnFollowerInstallAcks) {
   const sim::SimTime t0 = dep.simulator().now();
   dep.simulator().run_until(t0 + sim::from_ms(500.0));
 
-  EXPECT_GT(group.snapshot_installs_sent(), 0u);
+  EXPECT_EQ(group.snapshot_installs_sent(), 0u);
   EXPECT_GT(group.replicated_compactions(), 0u);
-  EXPECT_GT(group.journal(0).snapshots_taken(), 0u);
-  EXPECT_EQ(group.digest(1), group.leader_digest());
+  const std::vector<std::string> leader_state =
+      dep.global().state().encode_snapshot();
+  for (std::uint32_t r = 0; r < group.replica_count(); ++r) {
+    const control::StateJournal& journal = group.journal(r);
+    EXPECT_GT(journal.snapshots_taken(), 0u) << "replica " << r;
+    // Beyond the base snapshot: the replica truncated its own log.
+    EXPECT_GT(journal.records_compacted(), 0u) << "replica " << r;
+    const auto replayed = control::ControllerState::replay(journal.records());
+    ASSERT_TRUE(replayed.ok()) << replayed.error().to_string();
+    EXPECT_EQ(replayed->encode_snapshot(), leader_state) << "replica " << r;
+    EXPECT_EQ(group.digest(r), group.leader_digest()) << "replica " << r;
+  }
+  group.verify_convergence();
+  group.check_invariants();
+  dep.stop_replication();
+}
+
+TEST(Replication, FollowerRestoresFromItsOwnCompactedJournal) {
+  // A follower that compacted locally crashes with amnesia: restore
+  // rebuilds its state from its own snapshot + log — the state it held at
+  // the crash — and the leader's install then brings it level.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  DeploymentConfig config = replicated_config();
+  config.replication.journal.snapshot_interval = 4;
+  Middleware mw{std::move(m), config};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+  for (int i = 0; i < 3; ++i) {
+    const auto r =
+        mw.create_chain(make_span_spec(edge, fw, "c" + std::to_string(i)));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+  }
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  ASSERT_GT(group.journal(2).records_compacted(), 0u);
+  EXPECT_EQ(group.snapshot_installs_sent(), 0u);
+  const std::vector<std::string> at_crash = group.state(2).encode_snapshot();
+  EXPECT_EQ(at_crash, dep.global().state().encode_snapshot());
+
+  dep.fault_injector().crash("controller:replica2");
+  EXPECT_TRUE(group.state(2).chains.empty()) << "a crash keeps no state";
+  const auto during = mw.create_chain(make_span_spec(edge, fw, "during"));
+  ASSERT_TRUE(during.ok()) << during.error().to_string();
+  dep.fault_injector().restore("controller:replica2");
+  EXPECT_EQ(group.state(2).encode_snapshot(), at_crash);
+
+  const auto after = mw.create_chain(make_span_spec(edge, fw, "after"));
+  ASSERT_TRUE(after.ok()) << after.error().to_string();
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  EXPECT_EQ(group.elections(), 0u);
+  EXPECT_GT(group.snapshot_installs_sent(), 0u);
   EXPECT_EQ(group.digest(2), group.leader_digest());
+  EXPECT_EQ(group.state(2).chains.size(), 5u);
   group.verify_convergence();
   group.check_invariants();
   dep.stop_replication();
@@ -267,7 +320,7 @@ TEST(Replication, BusRetainsNoStreamFramesButStillReplaysRouteState) {
   model::NetworkModel m = make_two_pool_model();
   const VnfId fw = m.vnfs()[0].id;
   DeploymentConfig config = replicated_config();
-  config.replication.journal.snapshot_interval = 8;   // installs stream too
+  config.replication.journal.snapshot_interval = 8;
   Middleware mw{std::move(m), config};
   core::Deployment& dep = mw.deployment();
   dep.enable_replication(3);
@@ -280,7 +333,12 @@ TEST(Replication, BusRetainsNoStreamFramesButStillReplaysRouteState) {
         mw.create_chain(make_span_spec(edge, fw, "c" + std::to_string(i)));
     ASSERT_TRUE(r.ok()) << r.error().to_string();
   }
+  // A follower restart is re-synced with a snapshot install, so installs
+  // stream too.
+  dep.fault_injector().crash("controller:replica2");
+  dep.fault_injector().restore("controller:replica2");
   dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  EXPECT_EQ(group.digest(2), group.leader_digest());
   dep.stop_replication();   // no frame is published from here on
   EXPECT_GE(group.records_streamed(), 50u);
   EXPECT_GT(group.snapshot_installs_sent(), 0u);
@@ -496,6 +554,88 @@ TEST(Replication, PromotionAdoptsTheStandbyStateItsJournalReplaysTo) {
   }
   group.verify_convergence();
   dep.global().check_invariants();
+  dep.stop_replication();
+}
+
+TEST(Replication, ChainLookupIsIndexedAcrossIdGapsReplayAndFailover) {
+  // Lookups go through the id index ControllerState::apply maintains, so
+  // they hold across a failed creation, an id the controller never
+  // registered, a journal replay and a promoted standby's adopted state.
+  model::NetworkModel m = make_two_pool_model();
+  const VnfId fw = m.vnfs()[0].id;
+  Middleware mw{std::move(m), replicated_config()};
+  core::Deployment& dep = mw.deployment();
+  dep.enable_replication(3);
+  ReplicaGroup& group = *dep.replica_group();
+  const EdgeServiceId edge = mw.register_edge_service("vpn");
+
+  const auto a = mw.create_chain(make_span_spec(edge, fw, "a"));
+  ASSERT_TRUE(a.ok()) << a.error().to_string();
+  // Far more traffic than both pools hold: registered, then no route.
+  ChainSpec heavy = make_span_spec(edge, fw, "heavy");
+  heavy.forward_traffic = 1e6;
+  ASSERT_FALSE(mw.create_chain(heavy).ok());
+  const ChainId failed{a->chain.value() + 1};
+  // A chain only the model knows: the controller's ids skip it.
+  model::Chain outside;
+  outside.ingress = NodeId{0};
+  outside.egress = NodeId{3};
+  outside.vnfs = {fw};
+  outside.forward_traffic.assign(2, 0.0);
+  outside.reverse_traffic.assign(2, 0.0);
+  const ChainId gap = dep.network_model().add_chain(std::move(outside));
+  ASSERT_EQ(gap.value(), failed.value() + 1);
+  const auto b = mw.create_chain(make_span_spec(edge, fw, "b"));
+  ASSERT_TRUE(b.ok()) << b.error().to_string();
+  ASSERT_EQ(b->chain.value(), gap.value() + 1);
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+
+  const auto expect_lookups = [&](const control::ControllerState& state,
+                                  const std::string& where) {
+    state.check_invariants();
+    ASSERT_EQ(state.chains.size(), 3u) << where;
+    const control::ChainRecord* found_a = state.find(a->chain);
+    ASSERT_NE(found_a, nullptr) << where;
+    EXPECT_EQ(found_a->spec.name, "a") << where;
+    EXPECT_TRUE(found_a->active) << where;
+    const control::ChainRecord* found_failed = state.find(failed);
+    ASSERT_NE(found_failed, nullptr) << where;
+    EXPECT_EQ(found_failed->spec.name, "heavy") << where;
+    EXPECT_FALSE(found_failed->active) << where;
+    EXPECT_EQ(state.find(gap), nullptr) << where;
+    const control::ChainRecord* found_b = state.find(b->chain);
+    ASSERT_NE(found_b, nullptr) << where;
+    EXPECT_EQ(found_b->spec.name, "b") << where;
+    EXPECT_EQ(state.find(ChainId{b->chain.value() + 1}), nullptr) << where;
+    EXPECT_EQ(state.find(ChainId{}), nullptr) << where;
+  };
+  expect_lookups(dep.global().state(), "leader");
+  EXPECT_EQ(dep.global().find_record(b->chain),
+            dep.global().state().find(b->chain));
+  EXPECT_EQ(dep.global().find_record(gap), nullptr);
+  for (std::uint32_t r = 0; r < group.replica_count(); ++r) {
+    expect_lookups(group.state(r), "replica " + std::to_string(r));
+    const auto replayed =
+        control::ControllerState::replay(group.journal(r).records());
+    ASSERT_TRUE(replayed.ok()) << replayed.error().to_string();
+    expect_lookups(*replayed, "replay of replica " + std::to_string(r));
+  }
+
+  // Failover: the winner's standby state, index included, becomes the
+  // coordinator's.
+  const sim::SimTime t0 = dep.simulator().now();
+  dep.fault_injector().crash("controller:leader");
+  sim::SimTime at = t0;
+  while (group.elections() == 0 && at < t0 + sim::from_ms(3000.0)) {
+    at += sim::from_ms(1.0);
+    dep.simulator().run_until(at);
+  }
+  ASSERT_EQ(group.elections(), 1u);
+  expect_lookups(dep.global().state(), "promoted leader");
+  dep.simulator().run_until(dep.simulator().now() + sim::from_ms(500.0));
+  const auto walk = mw.send(b->chain, tuple(11));
+  EXPECT_TRUE(walk.delivered) << walk.failure;
+  group.verify_convergence();
   dep.stop_replication();
 }
 

@@ -60,6 +60,14 @@ state only through ControllerState::apply):
       (``write_record``) and ``restart_with``.  A direct write is a second
       interpreter that replay and the standbys never run.
 
+Codec rule (DESIGN.md §13: every replica encodes its whole state at each
+compaction, so the journal codec writes numbers with std::to_chars):
+
+  C1  in ``src/control/controller_state.cpp``, ``#include <sstream>`` or a
+      ``std::ostringstream``/``std::istringstream``/``std::stringstream`` —
+      a stream per record is what made snapshot encoding the controller's
+      dominant set-up cost.
+
 Escapes (both are printed, so suppressions stay visible):
 
   * inline, per line:  ``// swb-lint: allow(D1): why this one is safe``
@@ -67,11 +75,11 @@ Escapes (both are printed, so suppressions stay visible):
     count *below* an entry is an error too — the allowlist must shrink as
     sites are fixed, never silently go stale.
 
-``--self-test`` runs the determinism/guard/write-path rules over the known-bad
-fixtures in ``tests/lint_selftest/`` and checks the findings against their
-``// expect-lint: <rule>`` markers in both directions (missed expectation
-or unexpected finding both fail), proving the linter still catches what it
-claims to catch.
+``--self-test`` runs the determinism/guard/write-path/codec rules over the
+known-bad fixtures in ``tests/lint_selftest/`` and checks the findings
+against their ``// expect-lint: <rule>`` markers in both directions (missed
+expectation or unexpected finding both fail), proving the linter still
+catches what it claims to catch.
 
 Exit status 0 when clean; 1 with one ``file:line: rule: message`` diagnostic
 per violation otherwise.
@@ -137,6 +145,11 @@ MUTATING_CALL_RE = re.compile(
     r"pop_back|resize|assign|swap|try_emplace|insert_or_assign)\s*\(")
 ASSIGN_AFTER_RE = re.compile(r"\s*(?:\+\+|--|(?:[-+*/%&|^]|<<|>>)?=(?!=))")
 MUTABLE_CHAIN_RE = re.compile(r"(?<!const )\bChainRecord\s*[*&]")
+
+# C1: the journal codec, plus the fixtures.
+C1_SCOPE = ("src/control/controller_state.cpp", "tests/lint_selftest/")
+STREAM_RE = re.compile(r"#\s*include\s*<sstream>|"
+                       r"\bstd\s*::\s*(?:o|i)?stringstream\b")
 
 GUARDED_FIELD_RE = re.compile(r"\b(\w+)\s+SWB_GUARDED_BY\s*\(")
 REQUIRES_DECL_RE = re.compile(
@@ -449,6 +462,16 @@ def lint_state_writes(rel: str, code: str) -> list:
     return problems
 
 
+def lint_codec_streams(rel: str, code: str) -> list:
+    """C1 over one file: a string stream in the journal codec."""
+    if not rel.startswith(C1_SCOPE):
+        return []
+    return [(rel, line_of(code, m.start()), "C1",
+             "string stream in the journal codec: build the line in a "
+             "std::string with std::to_chars (doubles as %.17g)")
+            for m in STREAM_RE.finditer(code)]
+
+
 def lint_guards(rel: str, code: str, guarded: set, exempt: set) -> list:
     """T1 over one file: guarded-field reference with no locking evidence.
     `guarded` and `exempt` are collected over the header/source pair."""
@@ -511,6 +534,7 @@ def scan(root: pathlib.Path, files: list, rules: str) -> tuple:
             found += lint_determinism(rel, code, unordered)
             found += lint_atomics(rel, code)
             found += lint_state_writes(rel, code)
+            found += lint_codec_streams(rel, code)
             key = pair_key(path)
             found += lint_guards(rel, code, guarded_by_pair.get(key, set()),
                                  exempt_by_pair.get(key, set()))
