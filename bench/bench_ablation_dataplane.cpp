@@ -8,10 +8,7 @@
 //      connections; the ablation resets flow state on update and counts
 //      how many established connections lose their VNF instance (what a
 //      stateful VNF would experience as a broken connection).
-//   3. Replicated (DHT) flow table vs per-forwarder tables under a
-//      forwarder failure — the fraction of established flows that survive
-//      with their pinning intact.
-//   4. Steering state in the packet (Active-Switching-style annotation,
+//   3. Steering state in the packet (Active-Switching-style annotation,
 //      DESIGN.md §15) vs per-flow table entries — per-packet cost against
 //      per-flow memory and the 16-byte wire overhead.
 #include <benchmark/benchmark.h>
@@ -22,7 +19,6 @@
 #include <set>
 
 #include "bench_json.hpp"
-#include "dataplane/dht_flow_table.hpp"
 #include "dataplane/forwarder.hpp"
 #include "dataplane/traffic_gen.hpp"
 
@@ -159,65 +155,14 @@ void ablation_make_before_break(swb_bench::Session& session) {
               "connection; Switchboard's update breaks none.\n");
 }
 
-// ---------------------------------------------- 3. DHT failover
-
-void ablation_dht_failover(swb_bench::Session& session) {
-  std::printf("\n-- 3. forwarder failure: DHT-replicated vs local flow "
-              "tables --\n");
-  constexpr Labels kLabels{1, 1};
-  const std::uint32_t kFlows =
-      static_cast<std::uint32_t>(session.scaled(20'000, 16, 1'000));
-  constexpr std::size_t kNodes = 5;
-
-  TrafficGenConfig config;
-  config.flow_count = kFlows;
-  PacketStream stream{config};
-
-  // DHT: entries replicated across the ring.
-  DhtFlowTable dht{kNodes};
-  // Baseline: flows partitioned across per-forwarder tables, no replicas.
-  std::vector<FlowTable> local(kNodes);
-  for (std::uint32_t f = 0; f < kFlows; ++f) {
-    const FiveTuple t = stream.flow_tuple(f);
-    const FlowEntry entry{f, f, f};
-    dht.insert(kLabels, t, entry);
-    local[flow_hash(kLabels, t) % kNodes].insert(kLabels, t, entry);
-  }
-
-  dht.fail_node(2);
-  local[2].clear();   // the forwarder's state dies with it
-
-  std::uint32_t dht_alive = 0;
-  std::uint32_t local_alive = 0;
-  for (std::uint32_t f = 0; f < kFlows; ++f) {
-    const FiveTuple t = stream.flow_tuple(f);
-    if (dht.find(kLabels, t).has_value()) ++dht_alive;
-    if (local[flow_hash(kLabels, t) % kNodes].find(kLabels, t) != nullptr) {
-      ++local_alive;
-    }
-  }
-  std::printf("%-28s %6.1f%% of flows keep their pinning\n",
-              "DHT flow table (RF=2):",
-              100.0 * dht_alive / kFlows);
-  std::printf("%-28s %6.1f%% of flows keep their pinning\n",
-              "per-forwarder tables:",
-              100.0 * local_alive / kFlows);
-  session.add("dht_failover")
-      .param("flows", static_cast<double>(kFlows))
-      .metric("dht_survival_pct", 100.0 * dht_alive / kFlows)
-      .metric("local_survival_pct", 100.0 * local_alive / kFlows);
-  std::printf("the replicated table preserves flow affinity through the\n"
-              "failure (Section 5.3's fault-tolerance direction).\n");
-}
-
-// ------------------------------- 4. annotation vs flow-table state
+// ------------------------------- 3. annotation vs flow-table state
 
 /// Per-packet steering cost vs per-flow state cost of the two places the
 /// pinning can live: the forwarder's flow table (Switchboard) or a
 /// 16-byte in-packet annotation validated against the route epoch
 /// (Active-Switching ablation, DESIGN.md §15).
 void ablation_annotation_vs_table(swb_bench::Session& session) {
-  std::printf("\n-- 4. steering state: flow-table entries vs in-packet "
+  std::printf("\n-- 3. steering state: flow-table entries vs in-packet "
               "annotation --\n");
   constexpr Labels kLabels{1, 1};
   const auto kFlows =
@@ -306,7 +251,6 @@ int main(int argc, char** argv) {
   std::printf("=== Data-plane design ablations ===\n");
   ablation_labels_vs_source_routing(session);
   ablation_make_before_break(session);
-  ablation_dht_failover(session);
   ablation_annotation_vs_table(session);
   return 0;
 }

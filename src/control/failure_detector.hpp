@@ -81,10 +81,6 @@ class FailureDetector {
     const swb::MutexLock lock{mutex_};
     return running_;
   }
-  [[nodiscard]] std::size_t watched_count() const {
-    const swb::MutexLock lock{mutex_};
-    return sites_.size();
-  }
   [[nodiscard]] bool suspects(SiteId site) const;
   /// Total site-down declarations (re-suspecting after a recovery counts
   /// again).

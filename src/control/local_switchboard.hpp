@@ -151,11 +151,6 @@ class LocalSwitchboard {
   /// Rebuilds and installs the LB rule on one forwarder for one chain.
   void install_rule(PerChain& pc, dataplane::ElementId forwarder);
 
-  /// Topic helpers bound to this chain's labels.
-  [[nodiscard]] static std::string topic_key(const bus::Topic& topic) {
-    return topic.path;
-  }
-
   ControlContext& context_;
   SiteId site_;
   ReadyCallback ready_callback_;

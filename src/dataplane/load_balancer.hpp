@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dataplane/flow_table.hpp"
 #include "dataplane/packet.hpp"
 
 namespace switchboard::dataplane {

@@ -513,17 +513,11 @@ class SparseSimplex {
 }  // namespace
 
 Solution solve(const Problem& problem, const SimplexOptions& options) {
-  if (options.algorithm == SimplexAlgorithm::kDenseReference) {
-    return solve_dense_reference(problem, options);
-  }
   return solve_simplex(problem, options, nullptr);
 }
 
 Solution solve_simplex(const Problem& problem, const SimplexOptions& options,
                        const Basis* warm) {
-  if (options.algorithm == SimplexAlgorithm::kDenseReference) {
-    return solve_dense_reference(problem, options);
-  }
   SparseSimplex engine{problem, options};
   return engine.run(warm);
 }

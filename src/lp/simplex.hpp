@@ -17,8 +17,8 @@
 //     Bland's-rule fallback when degeneracy stalls progress, so solves are
 //     bit-reproducible and guaranteed to terminate.
 //
-// The previous dense-inverse implementation is kept as a reference mode
-// (SimplexAlgorithm::kDenseReference); property tests assert status parity
+// The previous dense-inverse implementation is kept as a reference
+// function (solve_dense_reference); property tests assert status parity
 // and objective agreement between the two on seeded random LPs.
 #pragma once
 
@@ -27,11 +27,6 @@
 #include "lp/problem.hpp"
 
 namespace switchboard::lp {
-
-enum class SimplexAlgorithm {
-  kSparse,           // bounded-variable revised simplex over a sparse LU
-  kDenseReference,   // dense basis inverse; bounds expanded into rows
-};
 
 struct SimplexOptions {
   std::size_t max_iterations{200'000};
@@ -45,7 +40,6 @@ struct SimplexOptions {
   std::size_t degeneracy_threshold{64};
   /// Candidate-list size for partial pricing (sparse engine only).
   std::size_t candidate_list_size{64};
-  SimplexAlgorithm algorithm{SimplexAlgorithm::kSparse};
 };
 
 /// Solves `problem`; `options` tunes tolerances and limits.
@@ -58,7 +52,6 @@ struct SimplexOptions {
 /// basis is primal feasible and repairing it with the bounded phase 1
 /// otherwise.  A mismatched or singular warm basis silently falls back to
 /// the cold all-slack start (stats.warm_started reports what happened).
-/// The dense reference mode ignores `warm`.
 [[nodiscard]] Solution solve_simplex(const Problem& problem,
                                      const SimplexOptions& options,
                                      const Basis* warm);

@@ -48,10 +48,6 @@ class DurableStore {
     const swb::MutexLock lock{mutex_};
     return bytes_written_;
   }
-  [[nodiscard]] std::size_t blob_count() const {
-    const swb::MutexLock lock{mutex_};
-    return blobs_.size();
-  }
 
   /// Audits internal bookkeeping (counter monotonicity vs stored bytes).
   void check_invariants() const;

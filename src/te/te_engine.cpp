@@ -363,7 +363,6 @@ const LpRoutingResult& TeEngine::refine_with_lp(LpRoutingOptions options) {
     options.warm_start = &lp_result_.basis;
   }
   lp_result_ = solve_lp_routing(model_, options);
-  lp_refined_version_ = loads_.version();
   return lp_result_;
 }
 

@@ -158,10 +158,6 @@ class TeEngine {
   /// chains placing `f` at `s` (plus partially-admitted chains).
   std::size_t on_vnf_site_capacity_changed(VnfId f, SiteId s);
 
-  /// Drops cached edge costs (call after any model mutation the engine
-  /// was not told about through the methods above).
-  void invalidate_cost_cache() { cache_.invalidate(); }
-
   /// Background SB-LP refinement (the paper's split: SB-DP answers route
   /// requests immediately, SB-LP re-optimizes the whole routing in the
   /// background).  Solves the routing LP over the engine's model and
@@ -172,11 +168,6 @@ class TeEngine {
   /// a cold solve.  The result stays cached until the next call.
   const LpRoutingResult& refine_with_lp(LpRoutingOptions options = {});
 
-  /// True when the loads advanced past the state the last refine_with_lp
-  /// call saw — i.e. a new refinement would observe different state.
-  [[nodiscard]] bool lp_refresh_due() const {
-    return loads_.version() != lp_refined_version_;
-  }
   /// The last refine_with_lp result (default-constructed before any call).
   [[nodiscard]] const LpRoutingResult& lp_refinement() const {
     return lp_result_;
@@ -220,7 +211,6 @@ class TeEngine {
   DpScratch scratch_;
   std::vector<double> routed_fraction_;   // per chain id; kUntracked = none
   LpRoutingResult lp_result_;             // last SB-LP refinement + basis
-  std::uint64_t lp_refined_version_{0};   // Loads version it was solved at
 };
 
 }  // namespace switchboard::te

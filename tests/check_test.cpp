@@ -10,9 +10,8 @@
 #include "common/check.hpp"
 #include "control/two_phase.hpp"
 #include "core/middleware.hpp"
-#include "dataplane/dht_flow_table.hpp"
-#include "dataplane/flow_table.hpp"
 #include "dataplane/load_balancer.hpp"
+#include "dataplane/sharded_flow_table.hpp"
 #include "model/network_model.hpp"
 #include "net/topology.hpp"
 #include "net/topology_gen.hpp"
@@ -90,10 +89,11 @@ TEST(CheckMacros, DcheckMatchesBuildMode) {
 #endif
 }
 
-// --------------------------------------------------------------- FlowTable
+// -------------------------------------------------------- ShardedFlowTable
 
 TEST(FlowTableAudit, SurvivesChurnAndGrowth) {
-  dataplane::FlowTable table{16};
+  // Small (4 shards of the 16-slot minimum) so every shard rehashes.
+  dataplane::ShardedFlowTable table{16, 4};
   const dataplane::Labels labels{1, 2};
   // Push through several growth cycles, with deletions creating
   // tombstones interleaved along probe chains.
@@ -103,26 +103,10 @@ TEST(FlowTableAudit, SurvivesChurnAndGrowth) {
   }
   table.check_invariants();
   for (std::uint32_t i = 4000; i < 5000; ++i) {
-    const auto* entry = table.find(labels, tuple(i));
-    ASSERT_NE(entry, nullptr);
+    const auto entry = table.find(labels, tuple(i));
+    ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->vnf_instance, i);
   }
-}
-
-// ------------------------------------------------------------ DhtFlowTable
-
-TEST(DhtFlowTableAudit, ReplicationTargetHoldsAcrossFailureAndRecovery) {
-  dataplane::DhtFlowTable dht{5};
-  const dataplane::Labels labels{9, 1};
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    dht.insert(labels, tuple(i), dataplane::FlowEntry{i, i, i});
-  }
-  dht.check_invariants();
-  dht.fail_node(2);
-  dht.check_invariants();   // re-replication restored the factor-2 target
-  dht.recover_node(2);
-  dht.check_invariants();
-  EXPECT_EQ(dht.total_flows(), 500u);
 }
 
 // ------------------------------------------------------------ LoadBalancer

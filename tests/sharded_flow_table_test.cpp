@@ -179,6 +179,88 @@ TEST(ShardedFlowTable, GrowsPerShardBeyondInitialCapacity) {
   table.check_invariants();
 }
 
+// ------------------------------------------------------ tombstone churn
+//
+// One 16-slot shard, so the 70% growth threshold and the tombstone purge
+// are hit at known sizes.
+
+TEST(ShardedFlowTable, TombstonesDoNotBreakProbing) {
+  ShardedFlowTable table{16};
+  const Labels labels{1, 1};
+  // Fill, erase half, re-find the rest.
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  for (std::uint32_t i = 0; i < 64; i += 2) {
+    EXPECT_TRUE(table.erase(labels, make_tuple(i)));
+  }
+  for (std::uint32_t i = 1; i < 64; i += 2) {
+    ASSERT_TRUE(table.find(labels, make_tuple(i)).has_value()) << i;
+  }
+  // Reinsert into tombstoned slots.
+  for (std::uint32_t i = 0; i < 64; i += 2) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  EXPECT_EQ(table.size(), 64u);
+  table.check_invariants();
+}
+
+// Regression: erase/grow interaction near the 70% growth threshold.  A
+// table that doubles capacity whenever live + tombstones cross the
+// threshold grows without bound under insert/erase churn (connections
+// completing as fast as they arrive) even though the live set never does.
+// The rehash is sized for the live entries alone, so it purges tombstones
+// into the same or a smaller array.
+TEST(ShardedFlowTable, EraseInsertChurnAcrossGrowthBoundary) {
+  ShardedFlowTable table{16};
+  const Labels labels{1, 1};
+  // Sit just under the growth threshold of the 16-slot table, then churn
+  // insert/erase/find across it many times.
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  for (std::uint32_t round = 0; round < 1000; ++round) {
+    const std::uint32_t dead = 10 + round;
+    const std::uint32_t born = dead + 1;
+    table.insert(labels, make_tuple(born), FlowEntry{born, born, born});
+    EXPECT_TRUE(table.erase(labels, make_tuple(round < 10 ? round : dead - 1)))
+        << round;
+    // Every entry that should be live is still findable mid-churn.
+    if (round >= 10) {
+      const auto e = table.find(labels, make_tuple(born));
+      ASSERT_TRUE(e.has_value()) << round;
+      EXPECT_EQ(e->vnf_instance, born);
+      EXPECT_FALSE(table.find(labels, make_tuple(dead - 1)).has_value())
+          << round;
+    }
+    table.check_invariants();
+  }
+  EXPECT_EQ(table.size(), 10u);
+}
+
+TEST(ShardedFlowTable, CapacityStaysBoundedUnderChurn) {
+  ShardedFlowTable table{16};
+  const Labels labels{1, 1};
+  // ~11 live entries forever; 50K insert+erase cycles.  Capacity must
+  // converge, not double on every tombstone-driven threshold crossing.
+  for (std::uint32_t i = 0; i < 11; ++i) {
+    table.insert(labels, make_tuple(i), FlowEntry{i, i, i});
+  }
+  // 11 live entries still fit the initial 16 slots.
+  const std::size_t initial_bytes = table.memory_bytes();
+  for (std::uint32_t round = 0; round < 50000; ++round) {
+    const std::uint32_t born = 11 + round;
+    table.insert(labels, make_tuple(born), FlowEntry{born, born, born});
+    EXPECT_TRUE(table.erase(labels, make_tuple(born - 11)));
+  }
+  EXPECT_EQ(table.size(), 11u);
+  // 11 live entries fit a 32-slot array at <= 35% live occupancy; allow
+  // one extra doubling of slack (64 slots, 4x the initial array) but
+  // nothing unbounded.
+  EXPECT_LE(table.memory_bytes(), 4 * initial_bytes);
+  table.check_invariants();
+}
+
 // ---------------------------------------------------- epoch-read protocol
 
 // The mutex ablation path and the lock-free path are the same lookup.
